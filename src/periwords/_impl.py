@@ -1,12 +1,18 @@
 """Scan kernels over uint8 letter arrays.
 
-Every function here is written in the numba-compatible subset (plain loops,
-no strings, no dicts) so the same source serves both backends: interpreted
-as the pure-Python fallback, or compiled in place by kernels._jit_module().
+Every function here except local_periods_stream is written in the
+numba-compatible subset (plain loops, no strings, no dicts) so the same
+source serves both backends: interpreted as the pure-Python fallback, or
+compiled in place by kernels.numba_kernels(). local_periods_stream is
+vectorized numpy code outside that subset; both backends run it as it is.
 Positions handed to these functions are 1-based, matching the library API.
 """
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
+# element budget of one 2-D comparison block in local_periods_stream
+_BLOCK = 1 << 15
 
 
 def border_table(w):
@@ -126,9 +132,80 @@ def local_period_stream(buf, i, cap):
 
 
 def local_periods_stream(buf, n, cap):
-    out = np.empty(n, np.int64)
-    for i in range(1, n + 1):
-        out[i - 1] = local_period_stream(buf, i, cap)
+    # local_period_stream at every position 1..n, all positions at once.
+    # Square case (L <= i): round h tests L in [h, 2h) for every position with
+    # no shorter square, through names of the factors of length h
+    # (Karp-Miller-Rosenberg: equal names iff equal factors), so a square is
+    # two name comparisons. Overhang case (L > i): positions with no square
+    # of length <= min(i, cap) look for the length-i prefix at an offset
+    # L in (i, cap], scanning the offsets that still match the prefix.
+    out = np.zeros(n, np.int64)
+    if n <= 0 or cap <= 0:
+        return out
+    # a square at position i reads letters below i + min(i, cap)
+    m = n + min(n, cap)
+    # names[m + j] names buf[j:j+h]; the zero front half absorbs the reads
+    # before the word that only masked-out columns make
+    names = np.zeros(2 * m, np.int32)
+    names[m:] = buf[:m]
+    todo = np.arange(1, n + 1, dtype=np.int64)
+    overhang = []
+    h = 1
+    while True:
+        # every square length <= min(i, cap) is tested once min(i, cap) < h
+        spent = np.minimum(todo, cap) < h
+        overhang.append(todo[spent])
+        todo = todo[~spent]
+        if todo.size == 0:
+            break
+        if h > 1:
+            # names of length h from pairs of names of length h/2
+            k = m - h + 1
+            cur = names[m:m + k]
+            key = cur.astype(np.int64) * (int(cur.max()) + 1) + names[m + h // 2:m + h // 2 + k]
+            names = np.zeros(2 * m, np.int32)
+            names[m:m + k] = np.unique(key, return_inverse=True)[1]
+        win = sliding_window_view(names, h)
+        cols = np.arange(h)
+        rows = max(1, _BLOCK // h)
+        left = []
+        for s in range(0, todo.size, rows):
+            i = todo[s:s + rows]
+            c = m + i
+            # column t tests L = h + t: buf[i-L:i-L+h] == buf[i:i+h] and
+            # buf[i-h:i] == buf[i+L-h:i+L]
+            ok = win[c - 2 * h + 1][:, ::-1] == names[c][:, None]
+            ok &= win[c] == names[c - h][:, None]
+            ok &= cols <= (np.minimum(i, cap) - h)[:, None]
+            first = ok.argmax(1)
+            hit = ok[np.arange(i.size), first]
+            out[i[hit] - 1] = h + first[hit]
+            left.append(i[~hit])
+        todo = np.concatenate(left)
+        h *= 2
+    pos = np.sort(np.concatenate(overhang))
+    pos = pos[pos < cap]  # from i = cap on, (i, cap] is empty: out stays 0
+    # cand holds the offsets L > pos[k] whose buf[L:L+have] equals buf[:have]
+    cand = np.arange(1, cap + 1, dtype=np.int64)
+    have = 0
+    k = 0
+    while k < pos.size:
+        cand = cand[np.searchsorted(cand, pos[k], "right"):]
+        if cand.size == 0:
+            break
+        w = min(max(1, _BLOCK // cand.size), int(pos[-1]) - have)
+        match = buf[cand[:, None] + np.arange(have, have + w)] == buf[have:have + w]
+        # length of the prefix each offset repeats, known up to have + w
+        ell = have + np.where(match.all(1), w, match.argmin(1))
+        have += w
+        j = int(np.searchsorted(pos, have, "right"))
+        if j > k:
+            i = pos[k:j, None]
+            ok = (cand > i) & (ell >= i)
+            first = ok.argmax(1)
+            out[pos[k:j] - 1] = np.where(ok[np.arange(j - k), first], cand[first], 0)
+            k = j
+        cand = cand[ell >= have]
     return out
 
 
@@ -336,18 +413,3 @@ def least_rotation_index(w):
                 break
     return best
 
-
-def smaller_than_proper_suffixes(w):
-    # True iff w is strictly smaller than every proper suffix, with the
-    # shorter-word-wins rule (a proper prefix sorts before its extension)
-    n = w.shape[0]
-    for i in range(1, n):
-        m = n - i
-        t = 0
-        while t < m and w[t] == w[i + t]:
-            t += 1
-        if t == m:
-            return False
-        if w[i + t] < w[t]:
-            return False
-    return True

@@ -22,7 +22,6 @@ import numpy as np
 from . import kernels
 from .errors import InsufficientWindowError
 from .factorize import (
-    AlphaChain,
     ReturnFactorization,
     alpha_chain,
     dyadic_factorization,
@@ -43,8 +42,6 @@ from .periods import (
     profile,
 )
 from .words import (
-    BINARY,
-    Alphabet,
     HolubParams,
     WordSource,
     anchor_length,

@@ -12,6 +12,7 @@ import io
 import json
 import os
 import sys
+import tempfile
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -238,10 +239,20 @@ CLAIMS = _make_registry()
 
 
 def _atomic_write(path: str, data: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as f:
-        f.write(data)
-    os.replace(tmp, path)
+    # a fresh temp file beside path, so no two writers ever share one
+    fd, tmp = tempfile.mkstemp(prefix=os.path.basename(path) + ".", suffix=".tmp",
+                               dir=os.path.dirname(path) or ".")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as f:
+            f.write(data)
+        # mkstemp makes the file 0o600; give it the mode open(path, "w") gives
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _emit(cfg: ExperimentConfig, data: str) -> None:

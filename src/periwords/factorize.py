@@ -6,15 +6,15 @@ extremal return-word lengths are exact for that window but only bounds for
 the full word unless a caller vouches for a known repetition bound.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import kernels
 from .errors import InsufficientWindowError
-from .periods import h_of, local_period_sum
-from .words import Alphabet, WordSource
+from .periods import h_of
+from .words import WordSource
 
 
 def _window(subject, horizon: int | None):

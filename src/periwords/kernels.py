@@ -1,14 +1,16 @@
 """Backend selection for the scan kernels.
 
 The kernel source lives in _impl.py and is written so the same functions run
-either interpreted or under numba's njit. The active backend is chosen once
-at import time from the PERIWORDS_BACKEND environment variable:
+either interpreted or under numba's njit; the vectorized kernels named in
+NUMPY_KERNELS are not jitted, so both tables run the same numpy code. The
+active backend is chosen once at import time from the PERIWORDS_BACKEND
+environment variable:
 
     PERIWORDS_BACKEND=numba    compiled kernels (default when numba imports)
     PERIWORDS_BACKEND=python   pure-Python/NumPy fallback, no compilation
 
 Both tables stay available in one process (python_kernels / numba_kernels),
-which is what the parity tests and bench/compare_backends.py rely on.
+which is what the parity tests and perfbench/run.py --micro rely on.
 """
 
 import importlib.util
@@ -33,8 +35,9 @@ KERNEL_NAMES = (
     "max_power",
     "max_run_exponent",
     "least_rotation_index",
-    "smaller_than_proper_suffixes",
 )
+# vectorized numpy code outside numba's subset
+NUMPY_KERNELS = ("local_periods_stream",)
 
 try:
     import numba
@@ -80,7 +83,8 @@ def numba_kernels():
         # rebind every kernel before first call so cross-kernel references
         # resolve to dispatchers at compile time
         for name in KERNEL_NAMES:
-            setattr(mod, name, jit(getattr(mod, name)))
+            if name not in NUMPY_KERNELS:
+                setattr(mod, name, jit(getattr(mod, name)))
         _jitted_module = mod
     return _jitted_module
 

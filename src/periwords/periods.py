@@ -172,43 +172,60 @@ class PeriodProfile:
 
     def __post_init__(self):
         self._h: list | None = None
+        self._sums: np.ndarray | None = None
 
     @property
     def n(self) -> int:
         return len(self.local_periods)
 
+    def _prefix_sums(self) -> np.ndarray:
+        # p(1) + ... + p(i) for every i before the first cap hit; int64 when no
+        # total can overflow it, else Python ints in an object array
+        if self._sums is None:
+            live = self.local_periods
+            if None in live:
+                live = live[:live.index(None)]
+            wide = max(live, default=0) * len(live) >= 2 ** 63
+            self._sums = np.cumsum(np.array(live, dtype=object if wide else np.int64))
+        return self._sums
+
     def h_values(self) -> list:
         if self._h is None:
-            out = []
-            total = 0
-            dead = False
-            for i, p in enumerate(self.local_periods, 1):
-                if dead or p is None:
-                    dead = True
-                    out.append(None)
-                else:
-                    total += p
-                    out.append(Fraction(total, i))
-            self._h = out
+            sums = self._prefix_sums().tolist()
+            self._h = [Fraction(t, i) for i, t in enumerate(sums, 1)] + [None] * (self.n - len(sums))
         return self._h
 
     def h_at(self, i: int) -> Fraction | None:
         if not 1 <= i <= self.n:
             raise ValueError(f"position {i} outside 1..{self.n}")
-        return self.h_values()[i - 1]
+        sums = self._prefix_sums()
+        return Fraction(int(sums[i - 1]), i) if i <= len(sums) else None
 
     def rows(self) -> list[dict]:
-        """One dict per position, rationals split into numerator/denominator."""
-        out = []
-        for i, (p, h) in enumerate(zip(self.local_periods, self.h_values()), 1):
-            row = {
+        """One dict per position, rationals split into numerator/denominator.
+
+        h(i) is reduced with np.gcd instead of through one Fraction per row;
+        float(Fraction) divides the reduced ints, so h_approx is the same float.
+        """
+        sums = self._prefix_sums()
+        live = len(sums)
+        index = np.arange(1, live + 1).astype(sums.dtype)
+        g = np.gcd(sums, index)
+        nums, dens = (sums // g).tolist(), (index // g).tolist()
+        out = [
+            {"index": i, "local_period": p, "h_numerator": a, "h_denominator": b, "h_approx": a / b}
+            for i, p, a, b in zip(range(1, live + 1), self.local_periods, nums, dens)
+        ]
+        out += [
+            {
                 "index": i,
                 "local_period": "CAP" if p is None else p,
-                "h_numerator": None if h is None else h.numerator,
-                "h_denominator": None if h is None else h.denominator,
-                "h_approx": None if h is None else float(h),
+                "h_numerator": None,
+                "h_denominator": None,
+                "h_approx": None,
             }
-            out.append(row)
+            for i, p in enumerate(self.local_periods[live:], live + 1)
+        ]
         return out
 
     def to_json(self) -> dict:

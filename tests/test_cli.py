@@ -2,6 +2,7 @@
 
 import json
 import os
+import stat
 
 import pytest
 
@@ -306,3 +307,31 @@ def test_out_file_written_atomically_no_tmp_left(tmp_path):
                  "--out", str(target)]) == 0
     assert target.exists()
     assert list(tmp_path.iterdir()) == [target]
+
+
+def test_out_file_beside_a_directory_named_like_the_old_temp_file(tmp_path):
+    target = tmp_path / "profile.csv"
+    (tmp_path / "profile.csv.tmp").mkdir()
+    assert main(["profile", "--text", "abaab", "--format", "csv", "--out", str(target)]) == 0
+    assert target.read_text().startswith("index,local_period,")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["profile.csv", "profile.csv.tmp"]
+
+
+def test_out_file_mode_follows_the_umask(tmp_path):
+    target = tmp_path / "profile.csv"
+    old = os.umask(0o027)
+    try:
+        assert main(["profile", "--text", "abaab", "--out", str(target)]) == 0
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+
+
+def test_failed_out_write_leaves_no_temp_file(tmp_path, monkeypatch, capsys):
+    def refuse(src, dst):
+        raise OSError("refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    assert main(["profile", "--text", "abaab", "--out", str(tmp_path / "profile.txt")]) == 1
+    assert capsys.readouterr().err.startswith("output error:")
+    assert list(tmp_path.iterdir()) == []

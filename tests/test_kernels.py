@@ -2,9 +2,11 @@
 
 Every test takes the `backend` fixture (both tables when numba imports), or
 compares the two tables head to head; sizes are kept small because the pure
-table is the slow side.
+table is the slow side. The vectorized local_periods_stream is checked
+against the per-position scan local_period_stream of the same table.
 """
 
+import itertools
 import os
 import random
 import subprocess
@@ -12,8 +14,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from periwords import kernels
+from periwords.words import parse_descriptor
 
 PY = kernels.python_kernels()
 SEED = 90407
@@ -82,6 +87,59 @@ def test_search_kernel_parity():
         assert list(PY.occurrence_list(needle, hay)) == list(nb.occurrence_list(needle, hay))
         assert int(PY.max_power(needle, hay)) == int(nb.max_power(needle, hay))
     assert int(PY.max_run_exponent(hay, 64)) == int(nb.max_run_exponent(hay, 64))
+
+
+def _stream_by_position(table, buf, n, cap):
+    return [int(table.local_period_stream(buf, i, cap)) for i in range(1, n + 1)]
+
+
+def _stream(table, buf, n, cap):
+    out = table.local_periods_stream(buf, n, cap)
+    assert out.dtype == np.int64 and out.shape == (n,)
+    return out.tolist()
+
+
+def test_stream_scan_every_binary_buffer(backend):
+    # every split n + cap = |buf|, cap = 0 and n = 0 included
+    for size in range(1, 11):
+        for letters in itertools.product((0, 1), repeat=size):
+            buf = np.array(letters, np.uint8)
+            for n in range(size + 1):
+                cap = size - n
+                assert _stream(backend, buf, n, cap) == _stream_by_position(backend, buf, n, cap), (
+                    letters, n, cap)
+
+
+@pytest.mark.parametrize("descriptor", [
+    "fibonacci", "morphic:a=aaab,b=a;seed=a", "periodic:aababbbb", "holub:n=2,3,4;tail=repeat",
+])
+def test_stream_scan_on_long_prefixes(backend, descriptor):
+    n = 10_000
+    src = parse_descriptor(descriptor)
+    for cap in (4 * n + 64, 7):  # the default cap, and one every word exceeds somewhere
+        buf = src.ranks(n + cap)
+        got = _stream(backend, buf, n, cap)
+        assert got == _stream_by_position(backend, buf, n, cap)
+        assert (0 in got) == (cap == 7)
+
+
+def test_stream_scan_on_thue_morse(backend):
+    # half the positions have no square: the overhang case dominates
+    n = 1024
+    cap = 4 * n + 64
+    buf = parse_descriptor("thue-morse").ranks(n + cap)
+    got = _stream(backend, buf, n, cap)
+    assert got == _stream_by_position(backend, buf, n, cap)
+    assert sum(p > i for i, p in enumerate(got, 1)) == n // 2
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(0, 2), min_size=1, max_size=80), st.floats(0, 1))
+def test_stream_scan_on_random_ternary_buffers(letters, split):
+    buf = np.array(letters, np.uint8)
+    n = round(split * len(letters))
+    cap = len(letters) - n
+    assert _stream(PY, buf, n, cap) == _stream_by_position(PY, buf, n, cap)
 
 
 def test_sweep_counts(backend):

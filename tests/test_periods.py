@@ -7,6 +7,7 @@ w[max(1,i-L+1) .. min(n,i+L)] has period L (vacuously when the window is
 shorter than L+1 letters).
 """
 
+import json
 import random
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ import pytest
 
 from periwords.periods import (
     CapExceeded,
+    PeriodProfile,
     critical_positions,
     h_of,
     is_lyndon,
@@ -187,6 +189,41 @@ def test_stream_profile_marks_cap_and_kills_average():
     rows = prof.rows()
     assert rows[0]["local_period"] == "CAP"
     assert rows[0]["h_numerator"] is None
+
+
+def _rows_by_fractions(local_periods):
+    # the running average one Fraction per position, dead from the first cap hit
+    rows, total, dead = [], 0, False
+    for i, p in enumerate(local_periods, 1):
+        dead = dead or p is None
+        if not dead:
+            total += p
+        h = None if dead else Fraction(total, i)
+        rows.append({
+            "index": i,
+            "local_period": "CAP" if p is None else p,
+            "h_numerator": None if h is None else h.numerator,
+            "h_denominator": None if h is None else h.denominator,
+            "h_approx": None if h is None else float(h),
+        })
+    return rows
+
+
+@pytest.mark.parametrize("cap", [None, 30])
+def test_profile_rows_match_the_fraction_route(cap):
+    prof = profile(fibonacci_source(), n=4000, cap=cap)
+    assert (None in prof.local_periods) == (cap is not None)
+    want = _rows_by_fractions(prof.local_periods)
+    assert json.dumps(prof.rows()) == json.dumps(want)
+    h = [None if r["h_numerator"] is None else Fraction(r["h_numerator"], r["h_denominator"]) for r in want]
+    assert prof.h_values() == h
+    assert [prof.h_at(i) for i in range(1, prof.n + 1)] == h
+
+
+def test_profile_rows_beyond_int64():
+    prof = PeriodProfile("x", [2 ** 62, 2 ** 62, 3, None, 5])
+    assert json.dumps(prof.rows()) == json.dumps(_rows_by_fractions(prof.local_periods))
+    assert prof.h_at(3) == Fraction(2 ** 63 + 3, 3) and prof.h_at(5) is None
 
 
 def test_profile_json_round_shape():
