@@ -160,9 +160,11 @@ def local_periods_stream(buf, n, cap):
             break
         if h > 1:
             # names of length h from pairs of names of length h/2
+            # the base exceeds every name of length h/2, those the second
+            # half reads included, so distinct pairs get distinct keys
             k = m - h + 1
-            cur = names[m:m + k]
-            key = cur.astype(np.int64) * (int(cur.max()) + 1) + names[m + h // 2:m + h // 2 + k]
+            key = names[m:m + k].astype(np.int64) * (int(names.max()) + 1)
+            key += names[m + h // 2:m + h // 2 + k]
             names = np.zeros(2 * m, np.int32)
             names[m:m + k] = np.unique(key, return_inverse=True)[1]
         win = sliding_window_view(names, h)

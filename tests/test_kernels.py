@@ -66,14 +66,16 @@ def test_border_and_period_parity():
 
 @pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="no jitted table to compare")
 def test_stream_parity_on_morphic_prefixes():
+    # both tables share the numpy local_periods_stream; the jitted side is
+    # the per-position scan
     from periwords.words import fibonacci_source, thue_morse_source
 
     nb = kernels.numba_kernels()
     for src in (fibonacci_source(), thue_morse_source()):
         buf = src.ranks(80 + 400)
-        assert list(PY.local_periods_stream(buf, 80, 400)) == list(
-            nb.local_periods_stream(buf, 80, 400)
-        )
+        assert list(PY.local_periods_stream(buf, 80, 400)) == [
+            int(nb.local_period_stream(buf, i, 400)) for i in range(1, 81)
+        ]
 
 
 @pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="no jitted table to compare")
@@ -140,6 +142,27 @@ def test_stream_scan_on_random_ternary_buffers(letters, split):
     n = round(split * len(letters))
     cap = len(letters) - n
     assert _stream(PY, buf, n, cap) == _stream_by_position(PY, buf, n, cap)
+
+
+def test_stream_scan_when_the_last_factors_hold_the_largest_names(backend):
+    # the factor names near the end of the scanned region ('22' below) are
+    # larger than every name that starts a pair; the pair keys must still
+    # tell '0100' from '0022', or position 7 reports a square 1100100 1100100
+    buf = np.array([1, 1, 0, 0, 1, 0, 0, 1, 1, 0, 0, 0, 2, 2], np.uint8)
+    assert _stream(backend, buf, 7, 7) == _stream_by_position(backend, buf, 7, 7)
+    assert _stream(backend, buf, 7, 7)[6] == 0
+
+
+def test_stream_scan_on_binary_buffers_with_a_new_letter_tail(backend):
+    # every binary word up to length 11 followed by '22', split in the middle:
+    # the names of the factors that reach the tail are the largest ones
+    for size in range(1, 12):
+        for letters in itertools.product((0, 1), repeat=size):
+            buf = np.array(letters + (2, 2), np.uint8)
+            n = (size + 2) // 2
+            cap = size + 2 - n
+            assert _stream(backend, buf, n, cap) == _stream_by_position(backend, buf, n, cap), (
+                letters, n, cap)
 
 
 def test_sweep_counts(backend):
