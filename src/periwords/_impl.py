@@ -1,17 +1,21 @@
 """Scan kernels over uint8 letter arrays.
 
-Every function here except local_periods_stream is written in the
-numba-compatible subset (plain loops, no strings, no dicts) so the same
-source serves both backends: interpreted as the pure-Python fallback, or
-compiled in place by kernels.numba_kernels(). local_periods_stream is
-vectorized numpy code outside that subset; both backends run it as it is.
-Positions handed to these functions are 1-based, matching the library API.
+The scalar kernels are written in the numba-compatible subset (plain loops,
+no strings, no dicts) so the same source serves both backends: interpreted
+as the pure-Python fallback, or compiled in place by kernels.numba_kernels().
+The kernels in kernels.NUMPY_KERNELS -- local_periods_stream, oracle_sweep
+and cft_sweep -- and the helpers the sweeps use (word_matrix,
+local_period_matrix, period_column, oracle_period_matrix, first_failure) are
+vectorized numpy code outside that subset; both backends run them as they
+are. Positions handed to these functions are 1-based, matching the library
+API.
 """
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-# element budget of one 2-D comparison block in local_periods_stream
+# element budget of one comparison block in local_periods_stream and the
+# sweeps, and of one block of the sweeps' (words x letters) matrices
 _BLOCK = 1 << 15
 
 
@@ -254,45 +258,142 @@ def oracle_local_period(w, i, nletters):
     return n
 
 
+def word_matrix(n, nletters, lo=0, hi=None):
+    # rows lo..hi-1 of the (nletters^n, n) matrix of every word of length n:
+    # row code spells code in base nletters, last letter least significant
+    if hi is None:
+        hi = nletters ** n
+    out = np.empty((hi - lo, n), np.uint8)
+    c = np.arange(lo, hi, dtype=np.int64)
+    for t in range(n - 1, -1, -1):
+        out[:, t] = c % nletters
+        c //= nletters
+    return out
+
+
+def local_period_matrix(words):
+    # local_period_finite at every position of every row: column i - 1 holds
+    # p_w(i). Each step tests one (i, L) shape on the rows still open.
+    rows, n = words.shape
+    out = np.empty((rows, n), np.int64)
+    for i in range(1, n + 1):
+        lv = n - i
+        col = np.full(rows, n, np.int64)  # L = n always matches
+        todo = np.arange(rows)
+        for L in range(1, n):
+            if todo.size == 0:
+                break
+            w = words[todo]
+            if L <= i and L <= lv:
+                ok = (w[:, i - L:i] == w[:, i:i + L]).all(1)
+            elif L <= lv:
+                ok = (w[:, :i] == w[:, L:L + i]).all(1)
+            elif L <= i:
+                ok = (w[:, i:] == w[:, i - L:i - L + lv]).all(1)
+            else:
+                lo = max(L - i + 1, 1)
+                ok = (w[:, i + lo - 1:] == w[:, lo - L + i - 1:lv - L + i]).all(1)
+            col[todo[ok]] = L
+            todo = todo[~ok]
+        out[:, i - 1] = col
+    return out
+
+
+def period_column(words):
+    # period_of of every row: the least p with w[p:] == w[:n-p]
+    rows, n = words.shape
+    out = np.full(rows, n, np.int64)
+    todo = np.arange(rows)
+    for p in range(1, n):
+        w = words[todo]
+        ok = (w[:, p:] == w[:, :n - p]).all(1)
+        out[todo[ok]] = p
+        todo = todo[~ok]
+    return out
+
+
+def oracle_period_matrix(words, nletters):
+    # oracle_local_period at every position of every row. For each L it
+    # enumerates all nletters^L candidate words r and tests the two
+    # comparability conditions letter by letter against every open row, in
+    # (letters x rows x candidates) blocks of about _BLOCK elements; it never
+    # reads the scan. L = n is not enumerated: the oracle answers n either way.
+    rows, n = words.shape
+    out = np.empty((rows, n), np.int64)
+    # letters first, so each block reduces over its leading axis
+    wt = np.ascontiguousarray(words.T)
+    cands = [None] + [np.ascontiguousarray(word_matrix(L, nletters).T) for L in range(1, n)]
+    for i in range(1, n + 1):
+        lv = n - i
+        col = np.full(rows, n, np.int64)
+        todo = np.arange(rows)
+        for L in range(1, n):
+            if todo.size == 0:
+                break
+            # r ends with u = w[:i] (or u ends with r), and r starts with
+            # v = w[i:] (or v starts with r)
+            a = max(0, L - i)
+            b = max(0, i - L)
+            m = min(L, lv)
+            r = cands[L][:, None]
+            k = r.shape[2]
+            cstep = max(1, _BLOCK // L)
+            rstep = max(1, _BLOCK // (min(k, cstep) * L))
+            hit = np.zeros(todo.size, bool)
+            for s in range(0, todo.size, rstep):
+                w = wt[:, todo[s:s + rstep], None]
+                for c in range(0, k, cstep):
+                    rc = r[:, :, c:c + cstep]
+                    ok = (rc[a:] == w[b:i]).all(0)
+                    ok &= (rc[:m] == w[i:i + m]).all(0)
+                    hit[s:s + rstep] |= ok.any(1)
+            col[todo[hit]] = L
+            todo = todo[~hit]
+        out[:, i - 1] = col
+    return out
+
+
+def first_failure(scan, oracle, periods):
+    # tally one block of words: scan/oracle mismatches, identity failures
+    # max_i p_w(i) != p(w), and the first failing row with its position --
+    # the first mismatching i, or 0 when the identity alone fails (-1, -1
+    # when nothing fails)
+    diff = scan != oracle
+    mismatch = diff.any(1)
+    fails = scan.max(1) != periods
+    bad = np.flatnonzero(mismatch | fails)
+    row = i = -1
+    if bad.size:
+        row = int(bad[0])
+        i = int(diff[row].argmax()) + 1 if mismatch[row] else 0
+    return int(diff.sum()), int(fails.sum()), row, i
+
+
+def _word_blocks(maxlen, nletters):
+    # every word of length 1..maxlen in (n, code) order, as code-ordered
+    # blocks of word_matrix rows of about _BLOCK letters each
+    for n in range(1, maxlen + 1):
+        total = nletters ** n
+        step = max(1, _BLOCK // n)
+        for lo in range(0, total, step):
+            yield n, lo, word_matrix(n, nletters, lo, min(total, lo + step))
+
+
 def oracle_sweep(maxlen, nletters):
     # exhaustive agreement run: scan vs oracle at every position of every word
     # up to maxlen, plus the critical-position identity max_i p_w(i) == p(w).
     # out = (checks, scan/oracle mismatches, identity failures, bad_n, bad_code, bad_i)
     out = np.zeros(6, np.int64)
-    out[3] = -1
-    out[4] = -1
-    out[5] = -1
-    w = np.empty(maxlen, np.uint8)
-    for n in range(1, maxlen + 1):
-        total = 1
-        for _ in range(n):
-            total *= nletters
-        for code in range(total):
-            c = code
-            for t in range(n - 1, -1, -1):
-                w[t] = c % nletters
-                c //= nletters
-            ww = w[:n]
-            per = period_of(ww)
-            maxlp = 0
-            for i in range(1, n + 1):
-                a = local_period_finite(ww, i)
-                b = oracle_local_period(ww, i, nletters)
-                out[0] += 1
-                if a != b:
-                    out[1] += 1
-                    if out[3] < 0:
-                        out[3] = n
-                        out[4] = code
-                        out[5] = i
-                if a > maxlp:
-                    maxlp = a
-            if maxlp != per:
-                out[2] += 1
-                if out[3] < 0:
-                    out[3] = n
-                    out[4] = code
-                    out[5] = 0
+    out[3:] = -1
+    for n, lo, words in _word_blocks(maxlen, nletters):
+        mism, fails, row, i = first_failure(
+            local_period_matrix(words), oracle_period_matrix(words, nletters),
+            period_column(words))
+        out[0] += words.size
+        out[1] += mism
+        out[2] += fails
+        if out[3] < 0 and row >= 0:
+            out[3:] = n, lo + row, i
     return out
 
 
@@ -300,31 +401,14 @@ def cft_sweep(maxlen, nletters):
     # identity max_i p_w(i) == p(w) alone, scan route only
     # out = (words, failures, bad_n, bad_code)
     out = np.zeros(4, np.int64)
-    out[2] = -1
-    out[3] = -1
-    w = np.empty(maxlen, np.uint8)
-    for n in range(1, maxlen + 1):
-        total = 1
-        for _ in range(n):
-            total *= nletters
-        for code in range(total):
-            c = code
-            for t in range(n - 1, -1, -1):
-                w[t] = c % nletters
-                c //= nletters
-            ww = w[:n]
-            per = period_of(ww)
-            maxlp = 0
-            for i in range(1, n + 1):
-                a = local_period_finite(ww, i)
-                if a > maxlp:
-                    maxlp = a
-            out[0] += 1
-            if maxlp != per:
-                out[1] += 1
-                if out[2] < 0:
-                    out[2] = n
-                    out[3] = code
+    out[2:] = -1
+    for n, lo, words in _word_blocks(maxlen, nletters):
+        scan = local_period_matrix(words)
+        _, fails, row, _ = first_failure(scan, scan, period_column(words))
+        out[0] += words.shape[0]
+        out[1] += fails
+        if out[2] < 0 and row >= 0:
+            out[2:] = n, lo + row
     return out
 
 

@@ -803,11 +803,12 @@ def check_superadditivity(
 
 
 def _decode_word(n: int, code: int, letters: str = "ab") -> str:
+    # the sweeps' word order: code in base len(letters), last letter least significant
     out = []
     for _ in range(n):
         out.append(letters[code % len(letters)])
         code //= len(letters)
-    return "".join(out)
+    return "".join(reversed(out))
 
 
 def check_critical_exhaustive(alphabet_size: int = 2, maxlen: int = 12) -> VerificationReport:

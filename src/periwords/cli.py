@@ -499,7 +499,8 @@ def run_batch(config_path: str, out_dir: str) -> int:
             _, status = runner(cfg)
             row["status"] = status or "ok"
             row["out"] = os.path.basename(cfg.out)
-        except (DescriptorError, InsufficientWindowError, ValueError, OSError) as e:
+        except (DescriptorError, InsufficientWindowError, ValueError, TypeError, OSError) as e:
+            # TypeError: a parameter of the wrong type, e.g. "depth": "3"
             row["status"] = "error"
             row["error"] = f"{type(e).__name__}: {e}"
         summary.append(row)
@@ -662,7 +663,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as e:
         print(f"output error: {e}", file=sys.stderr)
         return 1
-    except ValueError as e:
+    except (ValueError, TypeError) as e:
         print(f"parameter error: {e}", file=sys.stderr)
         return 1
 

@@ -2,9 +2,9 @@
 
 The kernel source lives in _impl.py and is written so the same functions run
 either interpreted or under numba's njit; the vectorized kernels named in
-NUMPY_KERNELS are not jitted, so both tables run the same numpy code. The
-active backend is chosen once at import time from the PERIWORDS_BACKEND
-environment variable:
+NUMPY_KERNELS (local_periods_stream, oracle_sweep and cft_sweep) are not
+jitted, so both tables run the same numpy code. The active backend is chosen
+once at import time from the PERIWORDS_BACKEND environment variable:
 
     PERIWORDS_BACKEND=numba    compiled kernels (default when numba imports)
     PERIWORDS_BACKEND=python   pure-Python/NumPy fallback, no compilation
@@ -37,13 +37,13 @@ KERNEL_NAMES = (
     "least_rotation_index",
 )
 # vectorized numpy code outside numba's subset
-NUMPY_KERNELS = ("local_periods_stream",)
+NUMPY_KERNELS = ("local_periods_stream", "oracle_sweep", "cft_sweep")
 
 try:
     import numba
 
     HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a hard dependency, but degrade politely
+except ImportError:  # numba is the optional `jit` extra; fall back to python
     numba = None
     HAVE_NUMBA = False
 

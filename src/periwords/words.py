@@ -90,55 +90,55 @@ class WordSource:
 
     Subclasses implement _generate(n) returning a prefix of length >= n;
     successive calls must agree on their common prefix. Buffer growth is
-    serialized by a lock, so concurrent readers are safe once their prefix
-    length is ensured.
+    serialized by a lock and published as one (letters, ranks) snapshot, so
+    concurrent readers always see letters and ranks of the same length.
     """
 
     def __init__(self, descriptor: str, alphabet: Alphabet = BINARY, has_holes: bool = False):
         self.descriptor = descriptor
         self.alphabet = alphabet
         self.has_holes = has_holes
-        self._buf = ""
-        self._ranks = np.empty(0, np.uint8)
+        self._snap = ("", np.empty(0, np.uint8))
         self._lock = threading.Lock()
 
     def _generate(self, n: int) -> str:
         raise NotImplementedError
 
-    def _ensure(self, n: int) -> None:
-        if len(self._buf) >= n:
-            return
+    def _ensure(self, n: int) -> tuple[str, np.ndarray]:
+        """A (letters, ranks) snapshot holding at least n letters."""
+        snap = self._snap
+        if len(snap[0]) >= n:
+            return snap
         with self._lock:
-            if len(self._buf) >= n:
-                return
-            target = max(n, 2 * len(self._buf), 64)
+            snap = self._snap
+            if len(snap[0]) >= n:
+                return snap
+            buf = snap[0]
+            target = max(n, 2 * len(buf), 64)
             new = self._generate(target)
             if len(new) < n:
                 raise ValueError(
                     f"{self.descriptor!r} produced only {len(new)} letters, needed {n}"
                 )
-            if not new.startswith(self._buf):
+            if not new.startswith(buf):
                 raise AssertionError(f"{self.descriptor!r} regenerated an unstable prefix")
-            self._buf = new
-            self._ranks = self.alphabet.encode(new, allow_hole=self.has_holes)
+            self._snap = snap = (new, self.alphabet.encode(new, allow_hole=self.has_holes))
+            return snap
 
     def prefix(self, n: int) -> str:
         if n < 0:
             raise ValueError("prefix length must be nonnegative")
-        self._ensure(n)
-        return self._buf[:n]
+        return self._ensure(n)[0][:n]
 
     def letter_at(self, i: int) -> str:
         """The letter at 1-based position i."""
         if i < 1:
             raise ValueError("positions are 1-based")
-        self._ensure(i)
-        return self._buf[i - 1]
+        return self._ensure(i)[0][i - 1]
 
     def ranks(self, n: int) -> np.ndarray:
         """Rank-encoded prefix of length n (read-only view of the cache)."""
-        self._ensure(n)
-        return self._ranks[:n]
+        return self._ensure(n)[1][:n]
 
     def __repr__(self):
         return f"<WordSource {self.descriptor!r}>"

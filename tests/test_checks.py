@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from periwords import checks
+from periwords import checks, kernels
 from periwords.checks import (
     DEFAULT_SEED,
     FAIL,
@@ -278,6 +278,16 @@ def test_oracle_equivalence_small():
     rep = check_oracle_equivalence(maxlen=8)
     assert rep.status == PASS
     assert rep.instances == sum(n * 2 ** n for n in range(1, 9))
+
+
+@pytest.mark.parametrize("nletters,maxlen", [(2, 6), (3, 4)])
+def test_decode_word_follows_the_sweep_letter_matrix(nletters, maxlen):
+    # a sweep's (bad_n, bad_code) must decode to the word the sweep tested
+    letters = "abc"[:nletters]
+    table = kernels.python_kernels()
+    for n in range(1, maxlen + 1):
+        for code, row in enumerate(table.word_matrix(n, nletters)):
+            assert checks._decode_word(n, code, letters) == "".join(letters[x] for x in row)
 
 
 def test_sweep_guards():

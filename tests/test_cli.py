@@ -251,6 +251,27 @@ def test_batch_error_only_exits_one(tmp_path):
     assert run_batch(str(cfg), str(tmp_path / "o")) == 1
 
 
+def test_batch_parameter_of_the_wrong_type_errors_one_run(tmp_path):
+    cfg = tmp_path / "batch.json"
+    _write_batch(cfg, [
+        {"action": "verify", "word": HOLUB, "claim": "block-closure", "params": {"depth": "3"}},
+        {"action": "generate", "word": HOLUB, "params": {"n": 15}},
+    ])
+    out_dir = tmp_path / "out"
+    assert run_batch(str(cfg), str(out_dir)) == 1
+    summary = json.loads((out_dir / "summary.json").read_text())
+    assert [r["status"] for r in summary["runs"]] == ["error", "ok"]
+    assert summary["runs"][0]["error"].startswith("TypeError")
+    assert (out_dir / "001-generate.txt").exists()
+
+
+def test_batch_runs_of_the_wrong_type_is_a_parameter_error(tmp_path, capsys):
+    cfg = tmp_path / "batch.json"
+    cfg.write_text(json.dumps({"runs": 5}), encoding="utf-8")
+    assert main(["batch", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith("parameter error:")
+
+
 def test_batch_inconclusive_only_exits_three(tmp_path):
     cfg = tmp_path / "batch.json"
     _write_batch(cfg, [

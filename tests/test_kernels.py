@@ -3,7 +3,9 @@
 Every test takes the `backend` fixture (both tables when numba imports), or
 compares the two tables head to head; sizes are kept small because the pure
 table is the slow side. The vectorized local_periods_stream is checked
-against the per-position scan local_period_stream of the same table.
+against the per-position scan local_period_stream of the same table, and the
+vectorized oracle_sweep/cft_sweep against the one-word-at-a-time loops below,
+which call the scalar kernels.
 """
 
 import itertools
@@ -175,12 +177,172 @@ def test_sweep_counts(backend):
     assert failures == 0
 
 
+def _loop_oracle_sweep(table, maxlen, nletters):
+    # reference for oracle_sweep: one word at a time through the scalar kernels
+    out = np.zeros(6, np.int64)
+    out[3] = -1
+    out[4] = -1
+    out[5] = -1
+    w = np.empty(maxlen, np.uint8)
+    for n in range(1, maxlen + 1):
+        for code in range(nletters ** n):
+            c = code
+            for t in range(n - 1, -1, -1):
+                w[t] = c % nletters
+                c //= nletters
+            ww = w[:n]
+            per = table.period_of(ww)
+            maxlp = 0
+            for i in range(1, n + 1):
+                a = table.local_period_finite(ww, i)
+                b = table.oracle_local_period(ww, i, nletters)
+                out[0] += 1
+                if a != b:
+                    out[1] += 1
+                    if out[3] < 0:
+                        out[3] = n
+                        out[4] = code
+                        out[5] = i
+                if a > maxlp:
+                    maxlp = a
+            if maxlp != per:
+                out[2] += 1
+                if out[3] < 0:
+                    out[3] = n
+                    out[4] = code
+                    out[5] = 0
+    return out.tolist()
+
+
+def _loop_cft_sweep(table, maxlen, nletters):
+    # reference for cft_sweep: one word at a time through the scalar kernels
+    out = np.zeros(4, np.int64)
+    out[2] = -1
+    out[3] = -1
+    w = np.empty(maxlen, np.uint8)
+    for n in range(1, maxlen + 1):
+        for code in range(nletters ** n):
+            c = code
+            for t in range(n - 1, -1, -1):
+                w[t] = c % nletters
+                c //= nletters
+            ww = w[:n]
+            per = table.period_of(ww)
+            maxlp = 0
+            for i in range(1, n + 1):
+                a = table.local_period_finite(ww, i)
+                if a > maxlp:
+                    maxlp = a
+            out[0] += 1
+            if maxlp != per:
+                out[1] += 1
+                if out[2] < 0:
+                    out[2] = n
+                    out[3] = code
+    return out.tolist()
+
+
+@pytest.mark.parametrize("maxlen,nletters", [(9, 2), (6, 3)])
+def test_oracle_sweep_matches_the_loop(maxlen, nletters):
+    got = PY.oracle_sweep(maxlen, nletters)
+    assert got.dtype == np.int64
+    assert got.tolist() == _loop_oracle_sweep(PY, maxlen, nletters)
+
+
+@pytest.mark.parametrize("maxlen,nletters", [(11, 2), (7, 3)])
+def test_cft_sweep_matches_the_loop(maxlen, nletters):
+    got = PY.cft_sweep(maxlen, nletters)
+    assert got.dtype == np.int64
+    assert got.tolist() == _loop_cft_sweep(PY, maxlen, nletters)
+
+
+@pytest.mark.parametrize("maxlen,nletters", [(10, 2), (6, 3)])
+def test_sweep_matrices_match_the_scalar_kernels(maxlen, nletters):
+    for n in range(1, maxlen + 1):
+        words = PY.word_matrix(n, nletters)
+        assert words.shape == (nletters ** n, n)
+        scan = PY.local_period_matrix(words).tolist()
+        oracle = PY.oracle_period_matrix(words, nletters).tolist()
+        periods = PY.period_column(words).tolist()
+        for w, s, o, p in zip(words, scan, oracle, periods):
+            assert s == [int(PY.local_period_finite(w, i)) for i in range(1, n + 1)], w
+            assert o == [int(PY.oracle_local_period(w, i, nletters)) for i in range(1, n + 1)], w
+            assert p == int(PY.period_of(w)), w
+
+
+def test_word_matrix_blocks_follow_the_code_order():
+    whole = PY.word_matrix(5, 3)
+    assert whole[1].tolist() == [0, 0, 0, 0, 1]
+    assert whole[3 ** 5 - 1].tolist() == [2] * 5
+    assert np.array_equal(PY.word_matrix(5, 3, 100, 140), whole[100:140])
+
+
+def _planted(rows=4, n=5):
+    # every word scans to the local periods 1..n with period n: no failure
+    scan = np.tile(np.arange(1, n + 1, dtype=np.int64), (rows, 1))
+    return scan, scan.copy(), np.full(rows, n, np.int64)
+
+
+def test_first_failure_identity_in_an_earlier_word_wins():
+    scan, oracle, periods = _planted()
+    periods[1] = 3  # word 1 fails the identity alone
+    oracle[2, 0] = 9  # word 2 has a mismatch
+    assert PY.first_failure(scan, oracle, periods) == (1, 1, 1, 0)
+
+
+def test_first_failure_reports_the_first_mismatching_position():
+    scan, oracle, periods = _planted()
+    oracle[2, 3] = 9
+    oracle[2, 1] = 9
+    periods[2] = 1  # the same word also fails the identity
+    assert PY.first_failure(scan, oracle, periods) == (2, 1, 2, 2)
+
+
+def test_first_failure_counts_add_up_over_all_words():
+    scan, oracle, periods = _planted(rows=6)
+    oracle[0, 4] = 1
+    oracle[3, :] = 0
+    oracle[5, 2] = 7
+    periods[[1, 3, 4]] = 2
+    assert PY.first_failure(scan, oracle, periods) == (1 + 5 + 1, 3, 0, 5)
+    assert PY.first_failure(*_planted()) == (0, 0, -1, -1)
+
+
+def test_sweeps_report_a_planted_failure_in_a_later_block(monkeypatch):
+    # words of length 12 span two blocks; plant failures on codes 3000 and
+    # 3001 (the second block) and on code 4000, so the reported code must
+    # carry the block's offset, and the counts must add up across blocks
+    real_periods = PY.period_column
+    real_oracle = PY.oracle_period_matrix
+    weights = 2 ** np.arange(11, -1, -1)
+
+    def periods(words):
+        out = real_periods(words)
+        if words.shape[1] == 12:
+            out[np.isin(words @ weights, (3001, 4000))] += 1
+        return out
+
+    def oracle(words, nletters):
+        out = real_oracle(words, nletters)
+        if words.shape[1] == 12:
+            out[words @ weights == 3000, 4:6] += 1
+        return out
+
+    monkeypatch.setattr(PY, "period_column", periods)
+    monkeypatch.setattr(PY, "oracle_period_matrix", oracle)
+    checks = sum(n * 2 ** n for n in range(1, 13))
+    assert PY.oracle_sweep(12, 2).tolist() == [checks, 2, 2, 12, 3000, 5]
+    assert PY.cft_sweep(12, 2).tolist() == [2 ** 13 - 2, 2, 12, 3001]
+
+
 @pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="no jitted table to compare")
 def test_sweep_parity():
+    # the sweeps are numpy code in both tables; the reference loops run the
+    # jitted scalar kernels
     nb = kernels.numba_kernels()
-    assert list(PY.oracle_sweep(7, 2)) == list(nb.oracle_sweep(7, 2))
-    assert list(PY.cft_sweep(8, 2)) == list(nb.cft_sweep(8, 2))
-    assert list(PY.cft_sweep(6, 3)) == list(nb.cft_sweep(6, 3))
+    assert PY.oracle_sweep(9, 2).tolist() == _loop_oracle_sweep(nb, 9, 2)
+    assert PY.cft_sweep(12, 2).tolist() == _loop_cft_sweep(nb, 12, 2)
+    assert PY.cft_sweep(6, 3).tolist() == _loop_cft_sweep(nb, 6, 3)
 
 
 def _probe_backend(env_value: str | None) -> subprocess.CompletedProcess:

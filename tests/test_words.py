@@ -1,5 +1,8 @@
 """Word sources, the parametrized construction, and the descriptor language."""
 
+import sys
+import threading
+
 import pytest
 
 from periwords.errors import DescriptorError
@@ -285,3 +288,36 @@ def test_periodic_source_with_holes():
     src = PeriodicSource("ab?")
     assert src.prefix(7) == "ab?ab?a"
     assert src.has_holes
+
+
+def test_concurrent_readers_get_the_letters_they_ask_for():
+    # readers race a thread that keeps growing the prefix; a reader that sees
+    # the grown letters must also see their ranks
+    short = []
+
+    def read(src):
+        for k in range(4, 16):
+            n = 2 ** k + 1
+            got = len(src.ranks(n))
+            if got != n:
+                short.append((n, got))
+
+    def grow(src):
+        for k in range(4, 16):
+            src.prefix(2 ** k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(40):
+            src = PeriodicSource("aab")
+            threads = [threading.Thread(target=grow, args=(src,))]
+            threads += [threading.Thread(target=read, args=(src,)) for _ in range(3)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert short == []
