@@ -634,7 +634,6 @@ def check_dyadic_gain(
     window: int = 8,
     horizon: int | None = None,
     repetition_bound: int | None = None,
-    max_period: int = 64,
 ) -> VerificationReport:
     """Per-block period/complexity chain for power-of-two tilings.
 
@@ -654,7 +653,7 @@ def check_dyadic_gain(
         "repetition_bound": repetition_bound,
     }
     certified = repetition_bound is not None
-    e = repetition_bound if certified else repetition_exponent_estimate(source, horizon, max_period)
+    e = repetition_bound if certified else repetition_exponent_estimate(source, horizon)
     report = VerificationReport("dyadic-gain", params, 0, WINDOWED)
     report.notes = f"e={e} ({'certified' if certified else 'windowed estimate'})"
     if 2 ** kprime < e * 2 ** (k + 1):
@@ -741,8 +740,10 @@ def _profile_array(w: str) -> np.ndarray:
 def check_factor_bound(
     trials: int = 10_000, maxlen: int = 14, seed: int = DEFAULT_SEED
 ) -> VerificationReport:
-    """Local periods of a factor never exceed those of the enclosing word
-    at corresponding positions; randomized over short binary words."""
+    """Local periods of a factor never exceed those of the enclosing word.
+
+    Compared at corresponding positions, over random short binary words.
+    """
     rng = random.Random(seed)
     report = VerificationReport(
         "factor-bound", {"trials": trials, "maxlen": maxlen, "seed": seed}, 0, PASS
@@ -835,8 +836,10 @@ def check_critical_exhaustive(alphabet_size: int = 2, maxlen: int = 12) -> Verif
 
 
 def check_oracle_equivalence(alphabet_size: int = 2, maxlen: int = 12) -> VerificationReport:
-    """The incremental scan agrees with the brute-force candidate enumeration
-    on every word up to maxlen, at every position."""
+    """The incremental scan agrees with the brute-force candidate enumeration.
+
+    Checked on every word up to maxlen, at every position.
+    """
     if alphabet_size > 3 or maxlen > 12:
         raise ValueError("exhaustive sweep is limited to alphabet <= 3, length <= 12")
     checks, mismatches, cft_fails, bad_n, bad_code, bad_i = (
@@ -867,7 +870,7 @@ def check_oracle_equivalence(alphabet_size: int = 2, maxlen: int = 12) -> Verifi
 
 def divergence_report(
     source: WordSource,
-    checkpoints: list[int],
+    checkpoints: tuple[int, ...] = tuple(2 ** t for t in range(4, 13)),
     cap: int | None = None,
     trend_from: int = 64,
 ) -> VerificationReport:

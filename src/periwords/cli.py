@@ -8,20 +8,20 @@ its own diagnostic prefix so scripts can tell them apart.
 
 import argparse
 import csv
+import inspect
 import io
 import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field, replace
-from typing import Callable
+from dataclasses import dataclass, field, fields, replace
 
 from . import checks
 from .checks import DEFAULT_SEED, VerificationReport
 from .errors import DescriptorError, InsufficientWindowError
 from .factorize import alpha_chain, dyadic_factorization, return_factorization
 from .periods import profile
-from .words import WordSource, parse_descriptor
+from .words import HolubParams, WordSource, parse_descriptor
 
 LINE = 64  # letters per text line when rendering word prefixes
 
@@ -75,32 +75,40 @@ class ExperimentConfig:
         )
 
     def resolved(self) -> "ExperimentConfig":
-        """Copy with every applicable default written out explicitly."""
-        defaults = _action_defaults(self)
-        params = dict(defaults)
-        params.update(self.params)
-        return replace(self, params=params)
+        """Copy with every applicable default written out explicitly.
+
+        Raises ValueError for a parameter the action or claim does not take.
+        """
+        defaults = _param_defaults(self)
+        unknown = sorted(set(self.params) - set(defaults))
+        if unknown:
+            owner = self.claim if self.action == "verify" else self.action
+            raise ValueError(f"unknown parameters for {owner}: {unknown}")
+        return replace(self, params={**defaults, **self.params})
 
 
+# the parameters of the actions that do not run a checker; verify takes the
+# claim's, report the divergence claim's
 _ACTION_DEFAULTS: dict[str, dict] = {
     "generate": {"n": 64},
     "profile": {"n": 64, "cap": None},
     "factorize": {"z": None, "mode": "return", "level": 1, "horizon": 4096,
                   "exponent": None, "alpha_power": False},
     "alpha": {"depth": 2, "horizon": 10_000, "repetition_bound": None},
-    "report": {"checkpoints": [2 ** t for t in range(4, 13)], "cap": None,
-               "trend_from": 64},
 }
 
 
-def _action_defaults(cfg: "ExperimentConfig") -> dict:
+def _param_defaults(cfg: ExperimentConfig) -> dict:
     if cfg.action == "verify":
-        spec = CLAIMS.get(cfg.claim or "")
-        base = dict(spec.defaults) if spec else {}
-        if spec and "seed" in base and base["seed"] is None:
-            base["seed"] = cfg.seed
-        return base
-    return dict(_ACTION_DEFAULTS.get(cfg.action, {}))
+        defaults = dict(_claim_spec(cfg.claim).defaults)
+        if "seed" in defaults:
+            defaults["seed"] = cfg.seed
+        return defaults
+    if cfg.action == "report":
+        return dict(CLAIMS["divergence"].defaults)
+    if cfg.action not in _ACTION_DEFAULTS:
+        raise ValueError(f"unknown action {cfg.action!r}")
+    return dict(_ACTION_DEFAULTS[cfg.action])
 
 
 # ---------------------------------------------------------------------------
@@ -109,15 +117,25 @@ def _action_defaults(cfg: "ExperimentConfig") -> dict:
 
 @dataclass(frozen=True)
 class ClaimSpec:
-    claim_id: str
-    kind: str  # "holub" | "source" | "none"
-    defaults: tuple
-    run: Callable[[dict, WordSource | None], VerificationReport]
-    help: str
+    """A claim and the checker in ``checks`` that verifies it.
 
-    @property
-    def default_dict(self) -> dict:
-        return dict(self.defaults)
+    Everything else is read off the checker's signature by ``_claim``.  The
+    checker is looked up by name on every run, so whatever ``checks`` holds
+    under that name at the time (a traced wrapper, say) is what runs.
+    """
+
+    claim_id: str
+    checker: str
+    kind: str  # "holub" | "source" | "none": what the first parameter takes
+    defaults: tuple  # (name, default) of every parameter after the subject
+    help: str  # first line of the checker's docstring
+
+    def run(self, params: dict, source: WordSource | None) -> VerificationReport:
+        checker = getattr(checks, self.checker)
+        if self.kind == "none":
+            return checker(**params)
+        subject = _holub_params(source) if self.kind == "holub" else source
+        return checker(subject, **params)
 
 
 def _holub_params(source: WordSource | None):
@@ -128,110 +146,46 @@ def _holub_params(source: WordSource | None):
     return params
 
 
-def _make_registry() -> dict[str, ClaimSpec]:
-    entries = [
-        ClaimSpec(
-            "big", "holub", (("depth", 3), ("cap", None)),
-            lambda p, s: checks.check_peak_periods(_holub_params(s), p["depth"], p["cap"]),
-            "local period at each anchor equals its closed form, with sharpness probe",
-        ),
-        ClaimSpec(
-            "peak-witness", "holub", (("depth", 3),),
-            lambda p, s: checks.check_peak_witness(_holub_params(s), p["depth"]),
-            "minimal repetition word at each anchor is the predicted conjugate",
-        ),
-        ClaimSpec(
-            "block-closure", "holub", (("depth", 4),),
-            lambda p, s: checks.check_block_closure(_holub_params(s), p["depth"]),
-            "u_i a and u_i b decode into blocks u_(i-1)a / u_(i-1)b",
-        ),
-        ClaimSpec(
-            "occurrence-rigidity", "holub", (("depth", 3), ("horizon", 10_000)),
-            lambda p, s: checks.check_occurrence_rigidity(
-                _holub_params(s), p["depth"], p["horizon"]),
-            "occurrences of u_i start only at multiples of |u_i|+1",
-        ),
-        ClaimSpec(
-            "letter-formula", "holub", (("n", 10_000),),
-            lambda p, s: checks.check_letter_formula(_holub_params(s), p["n"]),
-            "congruence letter formula agrees with the recursion",
-        ),
-        ClaimSpec(
-            "toeplitz-stages", "holub", (("n", 10_000), ("stage", None)),
-            lambda p, s: checks.check_toeplitz_stages(_holub_params(s), p["n"], p["stage"]),
-            "iterated hole-filling agrees with the recursion",
-        ),
-        ClaimSpec(
-            "return-time-bound", "holub",
-            (("depth", 2), ("horizon", None), ("max_factor_len", None)),
-            lambda p, s: checks.check_return_time_bound(
-                _holub_params(s), p["depth"], p["horizon"], p["max_factor_len"]),
-            "factors of the prefix u_i recur within |u_i|+1 letters",
-        ),
-        ClaimSpec(
-            "min-return-chain", "source",
-            (("depth", 2), ("horizon", 10_000), ("repetition_bound", None)),
-            lambda p, s: checks.check_lexmin_return_words(
-                s, p["depth"], p["horizon"], p["repetition_bound"]),
-            "chain words are lexicographic minima with Lyndon return words",
-        ),
-        ClaimSpec(
-            "return-gain", "source",
-            (("k", 1), ("kprime", None), ("window", 8), ("horizon", 20_000),
-             ("repetition_bound", None)),
-            lambda p, s: checks.check_return_gain(
-                s, p["k"], p["kprime"], p["window"], p["horizon"], p["repetition_bound"]),
-            "per-block complexity gain across nested return factorizations",
-        ),
-        ClaimSpec(
-            "dyadic-gain", "source",
-            (("k", 1), ("kprime", 4), ("window", 8), ("horizon", None),
-             ("repetition_bound", None)),
-            lambda p, s: checks.check_dyadic_gain(
-                s, p["k"], p["kprime"], p["window"], p["horizon"], p["repetition_bound"]),
-            "per-block period and complexity bounds across power-of-two tilings",
-        ),
-        ClaimSpec(
-            "factor-bound", "none",
-            (("trials", 10_000), ("maxlen", 14), ("seed", None)),
-            lambda p, s: checks.check_factor_bound(p["trials"], p["maxlen"], p["seed"]),
-            "factor local periods never exceed the enclosing word's",
-        ),
-        ClaimSpec(
-            "superadditivity", "none",
-            (("trials", 10_000), ("maxlen", 14), ("seed", None)),
-            lambda p, s: checks.check_superadditivity(p["trials"], p["maxlen"], p["seed"]),
-            "length-weighted complexity is superadditive under concatenation",
-        ),
-        ClaimSpec(
-            "critical-exhaustive", "none",
-            (("alphabet_size", 2), ("maxlen", 12)),
-            lambda p, s: checks.check_critical_exhaustive(p["alphabet_size"], p["maxlen"]),
-            "every short word attains its period as a local period",
-        ),
-        ClaimSpec(
-            "oracle-equivalence", "none",
-            (("alphabet_size", 2), ("maxlen", 12)),
-            lambda p, s: checks.check_oracle_equivalence(p["alphabet_size"], p["maxlen"]),
-            "incremental scan matches the brute-force enumeration oracle",
-        ),
-        ClaimSpec(
-            "divergence", "source",
-            (("checkpoints", [2 ** t for t in range(4, 13)]), ("cap", None),
-             ("trend_from", 64)),
-            lambda p, s: checks.divergence_report(s, p["checkpoints"], p["cap"], p["trend_from"]),
-            "running complexity trend at checkpoints (empirical only)",
-        ),
-        ClaimSpec(
-            "peak-average", "holub", (("depth", 3), ("cap", None)),
-            lambda p, s: checks.check_peak_average(_holub_params(s), p["depth"], p["cap"]),
-            "running complexity strictly exceeds peak/position at each anchor",
-        ),
-    ]
-    return {e.claim_id: e for e in entries}
+_SUBJECT_KINDS = {HolubParams: "holub", WordSource: "source"}
 
 
-CLAIMS = _make_registry()
+def _claim(claim_id: str, checker: str) -> ClaimSpec:
+    fn = getattr(checks, checker)
+    params = list(inspect.signature(fn).parameters.values())
+    kind = _SUBJECT_KINDS.get(params[0].annotation, "none")
+    if kind != "none":
+        params = params[1:]
+    defaults = tuple((p.name, p.default) for p in params)
+    help_ = (fn.__doc__ or "").strip().split("\n")[0]
+    return ClaimSpec(claim_id, checker, kind, defaults, help_)
+
+
+CLAIMS = {spec.claim_id: spec for spec in (
+    _claim("big", "check_peak_periods"),
+    _claim("peak-witness", "check_peak_witness"),
+    _claim("block-closure", "check_block_closure"),
+    _claim("occurrence-rigidity", "check_occurrence_rigidity"),
+    _claim("letter-formula", "check_letter_formula"),
+    _claim("toeplitz-stages", "check_toeplitz_stages"),
+    _claim("return-time-bound", "check_return_time_bound"),
+    _claim("min-return-chain", "check_lexmin_return_words"),
+    _claim("return-gain", "check_return_gain"),
+    _claim("dyadic-gain", "check_dyadic_gain"),
+    _claim("factor-bound", "check_factor_bound"),
+    _claim("superadditivity", "check_superadditivity"),
+    _claim("critical-exhaustive", "check_critical_exhaustive"),
+    _claim("oracle-equivalence", "check_oracle_equivalence"),
+    _claim("divergence", "divergence_report"),
+    _claim("peak-average", "check_peak_average"),
+)}
+
+
+def _claim_spec(claim: str | None) -> ClaimSpec:
+    spec = CLAIMS.get(claim or "")
+    if spec is None:
+        known = ", ".join(sorted(CLAIMS))
+        raise ValueError(f"unknown claim {claim!r}; known claims: {known}")
+    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -391,8 +345,7 @@ def _run_factorize(cfg: ExperimentConfig) -> tuple[int, str | None]:
 
 def _run_alpha(cfg: ExperimentConfig) -> tuple[int, str | None]:
     source = parse_descriptor(cfg.word or "")
-    p = cfg.params
-    chain = alpha_chain(source, p["depth"], p["horizon"], p["repetition_bound"])
+    chain = alpha_chain(source, **cfg.params)
     if cfg.format == "csv":
         rows = [[e_.alpha, e_.exponent, e_.horizon] for e_ in chain.entries]
         _emit(cfg, _csv_text(["alpha", "exponent", "horizon"], rows))
@@ -408,10 +361,7 @@ def _run_alpha(cfg: ExperimentConfig) -> tuple[int, str | None]:
 
 
 def _run_verify(cfg: ExperimentConfig) -> tuple[int, str | None]:
-    spec = CLAIMS.get(cfg.claim or "")
-    if spec is None:
-        known = ", ".join(sorted(CLAIMS))
-        raise ValueError(f"unknown claim {cfg.claim!r}; known claims: {known}")
+    spec = _claim_spec(cfg.claim)
     source = None
     if spec.kind != "none":
         if not cfg.word:
@@ -436,8 +386,7 @@ def _run_verify(cfg: ExperimentConfig) -> tuple[int, str | None]:
 
 def _run_report(cfg: ExperimentConfig) -> tuple[int, str | None]:
     source = parse_descriptor(cfg.word or "")
-    p = cfg.params
-    rep = checks.divergence_report(source, p["checkpoints"], p["cap"], p["trend_from"])
+    rep = checks.divergence_report(source, **cfg.params)
     if cfg.format == "csv":
         rows = [
             [r["i"], r["h_numerator"], r["h_denominator"], r["h_approx"], r["capped"]]
@@ -466,10 +415,7 @@ _RUNNERS = {
 def run(cfg: ExperimentConfig) -> int:
     """Execute one resolved config; returns the process exit code."""
     cfg = cfg.resolved()
-    runner = _RUNNERS.get(cfg.action)
-    if runner is None:
-        raise ValueError(f"unknown action {cfg.action!r}")
-    code, _ = runner(cfg)
+    code, _ = _RUNNERS[cfg.action](cfg)
     return code
 
 
@@ -493,10 +439,7 @@ def run_batch(config_path: str, out_dir: str) -> int:
             cfg = ExperimentConfig.from_json(entry).resolved()
             out_name = cfg.out or f"{idx:03d}-{cfg.action}.{_EXT.get(cfg.format, 'txt')}"
             cfg = replace(cfg, out=os.path.join(out_dir, out_name))
-            runner = _RUNNERS.get(cfg.action)
-            if runner is None:
-                raise ValueError(f"unknown action {cfg.action!r}")
-            _, status = runner(cfg)
+            _, status = _RUNNERS[cfg.action](cfg)
             row["status"] = status or "ok"
             row["out"] = os.path.basename(cfg.out)
         except (DescriptorError, InsufficientWindowError, ValueError, TypeError, OSError) as e:
@@ -545,58 +488,49 @@ def _build_parser() -> _Parser:
         p.add_argument("--out", help="output path (default stdout)")
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
+    def param_flags(p, names):
+        # no defaults here: resolved() fills in every parameter not given
+        for name in names:
+            flags = ["--J", "--I", "--K"] if name == "depth" else []
+            p.add_argument(*flags, "--" + name.replace("_", "-"), dest=name,
+                           type=_checkpoint_list if name == "checkpoints" else _int_or_none)
+
     g = sub.add_parser("generate", help="print a prefix of a word")
     common(g)
-    g.add_argument("--n", type=int, default=64)
+    g.add_argument("--n", type=int)
 
     pr = sub.add_parser("profile", help="local periods and running complexity")
     common(pr)
     pr.add_argument("--text", help="literal finite word instead of --word")
-    pr.add_argument("--n", type=int, default=64)
-    pr.add_argument("--cap", type=_int_or_none, default=None)
+    pr.add_argument("--n", type=int)
+    pr.add_argument("--cap", type=_int_or_none)
 
     fa = sub.add_parser("factorize", help="return-word or power-of-two factorization")
     common(fa)
     fa.add_argument("--z", help="marker factor for return mode")
-    fa.add_argument("--mode", choices=["return", "dyadic"], default="return")
-    fa.add_argument("--level", type=int, default=1, help="dyadic level (block length 2^level)")
-    fa.add_argument("--horizon", type=int, default=4096)
-    fa.add_argument("--exponent", type=_int_or_none, default=None)
-    fa.add_argument("--alpha-power", action="store_true", dest="alpha_power",
+    fa.add_argument("--mode", choices=["return", "dyadic"])
+    fa.add_argument("--level", type=int, help="dyadic level (block length 2^level)")
+    fa.add_argument("--horizon", type=int)
+    fa.add_argument("--exponent", type=_int_or_none)
+    fa.add_argument("--alpha-power", action="store_true", default=None, dest="alpha_power",
                     help="assert the marker prefixes every return word")
 
     al = sub.add_parser("alpha", help="minimal-return chain")
     common(al)
-    al.add_argument("--K", "--depth", dest="depth", type=int, default=2)
-    al.add_argument("--horizon", type=int, default=10_000)
-    al.add_argument("--repetition-bound", dest="repetition_bound",
-                    type=_int_or_none, default=None)
+    al.add_argument("--K", "--depth", dest="depth", type=int)
+    al.add_argument("--horizon", type=int)
+    al.add_argument("--repetition-bound", dest="repetition_bound", type=_int_or_none)
 
     ve = sub.add_parser("verify", help="run one claim checker")
     common(ve)
     ve.add_argument("--claim", required=True, help=", ".join(sorted(CLAIMS)))
-    ve.add_argument("--J", "--I", "--K", "--depth", dest="depth", type=_int_or_none, default=None)
-    ve.add_argument("--cap", type=_int_or_none, default=None)
-    ve.add_argument("--n", type=_int_or_none, default=None)
-    ve.add_argument("--stage", type=_int_or_none, default=None)
-    ve.add_argument("--horizon", type=_int_or_none, default=None)
-    ve.add_argument("--window", type=_int_or_none, default=None)
-    ve.add_argument("--k", type=_int_or_none, default=None)
-    ve.add_argument("--kprime", type=_int_or_none, default=None)
-    ve.add_argument("--trials", type=_int_or_none, default=None)
-    ve.add_argument("--maxlen", type=_int_or_none, default=None)
-    ve.add_argument("--alphabet-size", dest="alphabet_size", type=_int_or_none, default=None)
-    ve.add_argument("--repetition-bound", dest="repetition_bound",
-                    type=_int_or_none, default=None)
-    ve.add_argument("--max-factor-len", dest="max_factor_len", type=_int_or_none, default=None)
-    ve.add_argument("--checkpoints", type=_checkpoint_list, default=None)
-    ve.add_argument("--trend-from", dest="trend_from", type=_int_or_none, default=None)
+    # the config's own --seed stands for a checker's seed parameter
+    param_flags(ve, dict.fromkeys(
+        name for spec in CLAIMS.values() for name, _ in spec.defaults if name != "seed"))
 
     re_ = sub.add_parser("report", help="complexity trend at checkpoints")
     common(re_)
-    re_.add_argument("--checkpoints", type=_checkpoint_list, default=None)
-    re_.add_argument("--cap", type=_int_or_none, default=None)
-    re_.add_argument("--trend-from", dest="trend_from", type=int, default=64)
+    param_flags(re_, [name for name, _ in CLAIMS["divergence"].defaults])
 
     ba = sub.add_parser("batch", help="run a JSON list of configs")
     ba.add_argument("--config", required=True)
@@ -604,48 +538,12 @@ def _build_parser() -> _Parser:
     return top
 
 
-_VERIFY_KEYS = (
-    "depth", "cap", "n", "stage", "horizon", "window", "k", "kprime", "trials",
-    "maxlen", "alphabet_size", "repetition_bound", "max_factor_len",
-    "checkpoints", "trend_from",
-)
-
-
 def _config_from_args(ns: argparse.Namespace) -> ExperimentConfig:
-    action = ns.action
-    params: dict = {}
-    if action == "generate":
-        params["n"] = ns.n
-    elif action == "profile":
-        params["n"] = ns.n
-        params["cap"] = ns.cap
-    elif action == "factorize":
-        params.update(z=ns.z, mode=ns.mode, level=ns.level, horizon=ns.horizon,
-                      exponent=ns.exponent, alpha_power=ns.alpha_power)
-    elif action == "alpha":
-        params.update(depth=ns.depth, horizon=ns.horizon,
-                      repetition_bound=ns.repetition_bound)
-    elif action == "verify":
-        for key in _VERIFY_KEYS:
-            value = getattr(ns, key)
-            if value is not None:
-                params[key] = value
-        if "seed" not in params:
-            params["seed"] = ns.seed
-    elif action == "report":
-        params.update(cap=ns.cap, trend_from=ns.trend_from)
-        if ns.checkpoints is not None:
-            params["checkpoints"] = ns.checkpoints
-    return ExperimentConfig(
-        action=action,
-        word=getattr(ns, "word", None),
-        text=getattr(ns, "text", None),
-        claim=getattr(ns, "claim", None),
-        params=params,
-        format=getattr(ns, "format", "text"),
-        out=getattr(ns, "out", None),
-        seed=getattr(ns, "seed", DEFAULT_SEED),
-    )
+    """The config fields from their flags; every other flag given is a parameter."""
+    names = {f.name for f in fields(ExperimentConfig)}
+    args = vars(ns)
+    params = {k: v for k, v in args.items() if k not in names and v is not None}
+    return ExperimentConfig(params=params, **{k: v for k, v in args.items() if k in names})
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import kernels
-from .words import BINARY, Alphabet, WordSource
+from .words import BINARY, HOLE, Alphabet, WordSource
 
 SQUARE = "square"
 RIGHT_OVERHANG = "right-overhang"
@@ -240,15 +240,20 @@ class PeriodProfile:
 def profile(subject, n: int | None = None, cap: int | None = None) -> PeriodProfile:
     """Local periods at every position of a finite word or a source prefix.
 
-    For a WordSource, n is required and cap defaults to 4n + 64.
+    For a WordSource, n is required and cap defaults to 4n + 64.  Words with
+    holes are rejected: a hole would be matched as a letter of its own.
     """
     if isinstance(subject, str):
         if not subject:
             raise ValueError("empty word")
+        if HOLE in subject:
+            raise ValueError(f"cannot profile a word with holes ({HOLE!r})")
         lps = kernels.active.local_periods_finite(_arr(subject))
         return PeriodProfile(subject, [int(v) for v in lps], cap=None)
     if n is None:
         raise ValueError("need n for an infinite word")
+    if subject.has_holes:
+        raise ValueError(f"cannot profile {subject.descriptor}: it has holes ({HOLE!r})")
     if cap is None:
         cap = 4 * n + 64
     buf = subject.ranks(n + cap)

@@ -6,7 +6,8 @@ import stat
 
 import pytest
 
-from periwords.cli import CLAIMS, DEFAULT_SEED, ExperimentConfig, main, run, run_batch
+from periwords import checks
+from periwords.cli import CLAIMS, DEFAULT_SEED, ExperimentConfig, _build_parser, main, run, run_batch
 
 HOLUB = "holub:n=2,2;tail=repeat"
 
@@ -73,6 +74,23 @@ def test_usage_error_exits_one(capsys):
         main(["verify", "--word", HOLUB])  # --claim is required
     assert exc.value.code == 1
     assert capsys.readouterr().err.startswith("usage error:")
+
+
+def test_verify_flag_the_claim_does_not_take_is_a_parameter_error(capsys):
+    assert main(["verify", "--word", HOLUB, "--claim", "big", "--trials", "5"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("parameter error:")
+    assert "unknown parameters for big: ['trials']" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["profile", "--text", "ab?ab"],
+    ["profile", "--word", "periodic:ab?", "--n", "6"],
+    ["report", "--word", "periodic:ab?"],
+])
+def test_words_with_holes_are_a_parameter_error(argv, capsys):
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("parameter error:")
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +185,12 @@ def test_flag_aliases_share_dest(capsys):
     capsys.readouterr()
 
 
+def test_none_flag_value_means_the_default(capsys):
+    assert main(["verify", "--word", HOLUB, "--claim", "occurrence-rigidity",
+                 "--I", "2", "--horizon", "none", "--format", "json"]) == 0
+    assert json.loads(out_of(capsys))["params"]["horizon"] == 10_000
+
+
 # ---------------------------------------------------------------------------
 # config round-trips
 
@@ -207,6 +231,85 @@ def test_config_rejects_unknown_fields():
 def test_run_rejects_unknown_action():
     with pytest.raises(ValueError, match="unknown action"):
         run(ExperimentConfig(action="dance"))
+
+
+def test_run_rejects_unknown_parameters():
+    with pytest.raises(ValueError, match=r"unknown parameters for generate: \['m'\]"):
+        run(ExperimentConfig(action="generate", word="fibonacci", params={"m": 8}))
+    with pytest.raises(ValueError, match=r"unknown parameters for block-closure: \['dept'\]"):
+        run(ExperimentConfig(action="verify", word=HOLUB, claim="block-closure",
+                             params={"dept": 9}))
+    with pytest.raises(ValueError, match="unknown claim"):
+        run(ExperimentConfig(action="verify", word=HOLUB, claim="nosuch", params={"depth": 2}))
+
+
+# every claim's parameters and defaults, as its checker's signature gives them
+CLAIM_DEFAULTS = {
+    "big": {"depth": 3, "cap": None},
+    "peak-witness": {"depth": 3},
+    "block-closure": {"depth": 4},
+    "occurrence-rigidity": {"depth": 3, "horizon": 10_000},
+    "letter-formula": {"n": 10_000},
+    "toeplitz-stages": {"n": 10_000, "stage": None},
+    "return-time-bound": {"depth": 2, "horizon": None, "max_factor_len": None},
+    "min-return-chain": {"depth": 2, "horizon": 10_000, "repetition_bound": None},
+    "return-gain": {"k": 1, "kprime": None, "window": 8, "horizon": 20_000,
+                    "repetition_bound": None},
+    "dyadic-gain": {"k": 1, "kprime": 4, "window": 8, "horizon": None,
+                    "repetition_bound": None},
+    "factor-bound": {"trials": 10_000, "maxlen": 14, "seed": 7},
+    "superadditivity": {"trials": 10_000, "maxlen": 14, "seed": 7},
+    "critical-exhaustive": {"alphabet_size": 2, "maxlen": 12},
+    "oracle-equivalence": {"alphabet_size": 2, "maxlen": 12},
+    "divergence": {"checkpoints": (16, 32, 64, 128, 256, 512, 1024, 2048, 4096),
+                   "cap": None, "trend_from": 64},
+    "peak-average": {"depth": 3, "cap": None},
+}
+
+
+@pytest.mark.parametrize("claim", sorted(CLAIMS))
+def test_claim_defaults_are_pinned(claim):
+    # a seed parameter takes the config's seed
+    cfg = ExperimentConfig(action="verify", claim=claim, seed=7).resolved()
+    assert cfg.params == CLAIM_DEFAULTS[claim]
+
+
+def test_report_takes_the_divergence_claims_defaults():
+    cfg = ExperimentConfig(action="report", word="fibonacci").resolved()
+    assert cfg.params == CLAIM_DEFAULTS["divergence"]
+
+
+def _option_strings(action: str) -> set[str]:
+    top = _build_parser()
+    sub = next(a for a in top._actions if a.dest == "action")
+    return {s for a in sub.choices[action]._actions for s in a.option_strings}
+
+
+def test_verify_options_are_pinned():
+    assert _option_strings("verify") == {
+        "-h", "--help", "--word", "--format", "--out", "--seed", "--claim",
+        "--J", "--I", "--K", "--depth", "--cap", "--n", "--stage", "--horizon",
+        "--window", "--k", "--kprime", "--trials", "--maxlen", "--alphabet-size",
+        "--repetition-bound", "--max-factor-len", "--checkpoints", "--trend-from",
+    }
+    assert _option_strings("report") == {
+        "-h", "--help", "--word", "--format", "--out", "--seed",
+        "--checkpoints", "--cap", "--trend-from",
+    }
+
+
+def test_run_calls_the_checker_that_checks_holds_at_call_time(monkeypatch, capsys):
+    calls = []
+
+    def fake(params, depth=4):
+        calls.append(depth)
+        return checks.VerificationReport("block-closure", {"depth": depth}, 1, checks.PASS)
+
+    monkeypatch.setattr(checks, "check_block_closure", fake)
+    assert run(ExperimentConfig(action="verify", word=HOLUB, claim="block-closure",
+                                params={"depth": 2})) == 0
+    assert calls == [2]
+    assert "instances: 1" in out_of(capsys)
 
 
 def test_claim_registry_is_complete():
@@ -262,6 +365,22 @@ def test_batch_parameter_of_the_wrong_type_errors_one_run(tmp_path):
     summary = json.loads((out_dir / "summary.json").read_text())
     assert [r["status"] for r in summary["runs"]] == ["error", "ok"]
     assert summary["runs"][0]["error"].startswith("TypeError")
+    assert (out_dir / "001-generate.txt").exists()
+
+
+def test_batch_unknown_parameter_errors_one_run(tmp_path):
+    cfg = tmp_path / "batch.json"
+    _write_batch(cfg, [
+        {"action": "verify", "word": HOLUB, "claim": "block-closure", "params": {"dept": 9}},
+        {"action": "generate", "word": HOLUB, "params": {"n": 15}},
+    ])
+    out_dir = tmp_path / "out"
+    assert run_batch(str(cfg), str(out_dir)) == 1
+    summary = json.loads((out_dir / "summary.json").read_text())
+    assert [r["status"] for r in summary["runs"]] == ["error", "ok"]
+    assert summary["runs"][0]["error"] == (
+        "ValueError: unknown parameters for block-closure: ['dept']")
+    assert not (out_dir / "000-verify.txt").exists()
     assert (out_dir / "001-generate.txt").exists()
 
 

@@ -30,7 +30,14 @@ from periwords.periods import (
     profile,
     shortest_border,
 )
-from periwords.words import HolubParams, fibonacci_source, holub_word, thue_morse_source
+from periwords.words import (
+    HolubParams,
+    fibonacci_source,
+    holub_toeplitz,
+    holub_word,
+    parse_descriptor,
+    thue_morse_source,
+)
 
 SEED = 90407
 
@@ -246,6 +253,15 @@ def test_profile_argument_errors():
         profile(fibonacci_source())  # needs n
     with pytest.raises(ValueError):
         profile("abaab").h_at(6)
+
+
+def test_profile_rejects_holes():
+    with pytest.raises(ValueError, match="holes"):
+        profile("ab?ab")
+    with pytest.raises(ValueError, match="holes"):
+        profile(parse_descriptor("periodic:ab?"), n=6)
+    with pytest.raises(ValueError, match="holes"):
+        profile(holub_toeplitz(HolubParams((2, 2)), 1), n=6)
 
 
 def test_default_cap_scales_with_n():
