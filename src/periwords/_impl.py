@@ -1,14 +1,10 @@
-"""Scan kernels over uint8 letter arrays.
+"""Scan kernels over uint8 letter arrays: the one kernel table.
 
-The scalar kernels are written in the numba-compatible subset (plain loops,
-no strings, no dicts) so the same source serves both backends: interpreted
-as the pure-Python fallback, or compiled in place by kernels.numba_kernels().
-The kernels in kernels.NUMPY_KERNELS -- local_periods_stream, oracle_sweep
-and cft_sweep -- and the helpers the sweeps use (word_matrix,
-local_period_matrix, period_column, oracle_period_matrix, first_failure) are
-vectorized numpy code outside that subset; both backends run them as they
-are. Positions handed to these functions are 1-based, matching the library
-API.
+The scalar kernels are plain loops; local_periods_stream, oracle_sweep and
+cft_sweep, and the helpers the sweeps use (word_matrix, local_period_matrix,
+period_column, oracle_period_matrix, first_failure), are vectorized numpy
+code that the scalar kernels check in the tests. Positions handed to these
+functions are 1-based, matching the library API.
 """
 
 import numpy as np

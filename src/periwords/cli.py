@@ -21,7 +21,7 @@ from .checks import DEFAULT_SEED, VerificationReport
 from .errors import DescriptorError, InsufficientWindowError
 from .factorize import alpha_chain, dyadic_factorization, return_factorization
 from .periods import profile
-from .words import HolubParams, WordSource, parse_descriptor
+from .words import HOLE, HolubParams, WordSource, parse_descriptor
 
 LINE = 64  # letters per text line when rendering word prefixes
 
@@ -77,13 +77,29 @@ class ExperimentConfig:
     def resolved(self) -> "ExperimentConfig":
         """Copy with every applicable default written out explicitly.
 
-        Raises ValueError for a parameter the action or claim does not take.
+        Raises ValueError for a parameter the action or claim does not take,
+        and TypeError for a value its checker's annotation does not admit.
         """
-        defaults = _param_defaults(self)
+        spec = None  # the claim whose checker takes the parameters, if any
+        if self.action == "verify":
+            spec = _claim_spec(self.claim)
+        elif self.action == "report":
+            spec = CLAIMS["divergence"]
+        elif self.action not in _ACTION_DEFAULTS:
+            raise ValueError(f"unknown action {self.action!r}")
+        defaults = dict(_ACTION_DEFAULTS[self.action] if spec is None else spec.defaults)
+        if "seed" in defaults:
+            defaults["seed"] = self.seed
+        owner = self.claim if self.action == "verify" else self.action
         unknown = sorted(set(self.params) - set(defaults))
         if unknown:
-            owner = self.claim if self.action == "verify" else self.action
             raise ValueError(f"unknown parameters for {owner}: {unknown}")
+        if spec is not None:
+            types = dict(spec.types)
+            for name, value in self.params.items():
+                if not _admits(types[name], value):
+                    raise TypeError(f"parameter {name!r} of {owner} takes "
+                                    f"{inspect.formatannotation(types[name])}, got {value!r}")
         return replace(self, params={**defaults, **self.params})
 
 
@@ -98,17 +114,14 @@ _ACTION_DEFAULTS: dict[str, dict] = {
 }
 
 
-def _param_defaults(cfg: ExperimentConfig) -> dict:
-    if cfg.action == "verify":
-        defaults = dict(_claim_spec(cfg.claim).defaults)
-        if "seed" in defaults:
-            defaults["seed"] = cfg.seed
-        return defaults
-    if cfg.action == "report":
-        return dict(CLAIMS["divergence"].defaults)
-    if cfg.action not in _ACTION_DEFAULTS:
-        raise ValueError(f"unknown action {cfg.action!r}")
-    return dict(_ACTION_DEFAULTS[cfg.action])
+def _admits(annotation, value) -> bool:
+    # the checkers' parameters are int, int | None or tuple[int, ...] (a test
+    # keeps it so); a JSON list stands for a tuple, and a bool is not an int
+    if annotation is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    if annotation == int | None:
+        return value is None or _admits(int, value)
+    return isinstance(value, (list, tuple)) and all(_admits(int, v) for v in value)
 
 
 # ---------------------------------------------------------------------------
@@ -128,14 +141,19 @@ class ClaimSpec:
     checker: str
     kind: str  # "holub" | "source" | "none": what the first parameter takes
     defaults: tuple  # (name, default) of every parameter after the subject
+    types: tuple  # (name, annotation) of the same parameters
     help: str  # first line of the checker's docstring
 
     def run(self, params: dict, source: WordSource | None) -> VerificationReport:
         checker = getattr(checks, self.checker)
         if self.kind == "none":
             return checker(**params)
-        subject = _holub_params(source) if self.kind == "holub" else source
-        return checker(subject, **params)
+        if self.kind == "holub":
+            return checker(_holub_params(source), **params)
+        if source.has_holes:
+            raise ValueError(f"cannot check {self.claim_id} on {source.descriptor}: "
+                             f"it has holes ({HOLE!r})")
+        return checker(source, **params)
 
 
 def _holub_params(source: WordSource | None):
@@ -151,13 +169,14 @@ _SUBJECT_KINDS = {HolubParams: "holub", WordSource: "source"}
 
 def _claim(claim_id: str, checker: str) -> ClaimSpec:
     fn = getattr(checks, checker)
-    params = list(inspect.signature(fn).parameters.values())
+    params = list(inspect.signature(fn, eval_str=True).parameters.values())
     kind = _SUBJECT_KINDS.get(params[0].annotation, "none")
     if kind != "none":
         params = params[1:]
     defaults = tuple((p.name, p.default) for p in params)
+    types = tuple((p.name, p.annotation) for p in params)
     help_ = (fn.__doc__ or "").strip().split("\n")[0]
-    return ClaimSpec(claim_id, checker, kind, defaults, help_)
+    return ClaimSpec(claim_id, checker, kind, defaults, types, help_)
 
 
 CLAIMS = {spec.claim_id: spec for spec in (

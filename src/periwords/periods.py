@@ -246,9 +246,7 @@ def profile(subject, n: int | None = None, cap: int | None = None) -> PeriodProf
     if isinstance(subject, str):
         if not subject:
             raise ValueError("empty word")
-        if HOLE in subject:
-            raise ValueError(f"cannot profile a word with holes ({HOLE!r})")
-        lps = kernels.active.local_periods_finite(_arr(subject))
+        lps = _local_periods(subject)
         return PeriodProfile(subject, [int(v) for v in lps], cap=None)
     if n is None:
         raise ValueError("need n for an infinite word")
@@ -262,19 +260,25 @@ def profile(subject, n: int | None = None, cap: int | None = None) -> PeriodProf
     return PeriodProfile(subject.descriptor, vals, cap=cap)
 
 
+def _local_periods(w: str) -> np.ndarray:
+    # a hole would be matched as a letter of its own
+    if HOLE in w:
+        raise ValueError(f"cannot profile a word with holes ({HOLE!r})")
+    return kernels.active.local_periods_finite(_arr(w))
+
+
 def h_of(w: str) -> Fraction:
     """Mean of the local periods over all positions of a finite word."""
     if not w:
         raise ValueError("empty word")
-    lps = kernels.active.local_periods_finite(_arr(w))
-    return Fraction(int(lps.sum()), len(w))
+    return Fraction(int(_local_periods(w).sum()), len(w))
 
 
 def local_period_sum(w: str) -> int:
     """Integer sum of all local periods of w (|w| times h(w))."""
     if not w:
         return 0
-    return int(kernels.active.local_periods_finite(_arr(w)).sum())
+    return int(_local_periods(w).sum())
 
 
 def critical_positions(w: str) -> list[int]:

@@ -1,7 +1,5 @@
 import pytest
 
-from periwords import kernels
-
 # one line per acceptance criterion, echoed after the run so the gate is
 # readable without digging through -v output
 _ACCEPTANCE_LINES: list[str] = []
@@ -29,15 +27,3 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     for line in sorted(_ACCEPTANCE_LINES):
         terminalreporter.write_line(line)
 
-
-def _backend_tables():
-    tables = [("python", kernels.python_kernels())]
-    if kernels.HAVE_NUMBA:
-        tables.append(("numba", kernels.numba_kernels()))
-    return tables
-
-
-@pytest.fixture(params=_backend_tables(), ids=lambda p: p[0])
-def backend(request):
-    """Kernel table under test; runs everything twice when numba is importable."""
-    return request.param[1]

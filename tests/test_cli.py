@@ -87,6 +87,13 @@ def test_verify_flag_the_claim_does_not_take_is_a_parameter_error(capsys):
     ["profile", "--text", "ab?ab"],
     ["profile", "--word", "periodic:ab?", "--n", "6"],
     ["report", "--word", "periodic:ab?"],
+    ["verify", "--word", "periodic:ab?", "--claim", "min-return-chain"],
+    ["verify", "--word", "periodic:ab?", "--claim", "return-gain"],
+    ["verify", "--word", "periodic:ab?", "--claim", "dyadic-gain"],
+    ["verify", "--word", "periodic:ab?", "--claim", "divergence"],
+    ["factorize", "--word", "periodic:ab?", "--format", "csv", "--mode", "dyadic",
+     "--level", "1", "--horizon", "8"],
+    ["factorize", "--word", "periodic:ab?", "--format", "csv", "--z", "a", "--horizon", "20"],
 ])
 def test_words_with_holes_are_a_parameter_error(argv, capsys):
     assert main(argv) == 1
@@ -319,6 +326,14 @@ def test_claim_registry_is_complete():
         assert spec.help
 
 
+def test_every_claim_parameter_has_a_checked_type():
+    # resolved() type-checks values against these three annotations only
+    for spec in CLAIMS.values():
+        assert [name for name, _ in spec.types] == [name for name, _ in spec.defaults]
+        for name, annotation in spec.types:
+            assert annotation in (int, int | None, tuple[int, ...]), (spec.claim_id, name)
+
+
 # ---------------------------------------------------------------------------
 # batches
 
@@ -365,6 +380,47 @@ def test_batch_parameter_of_the_wrong_type_errors_one_run(tmp_path):
     summary = json.loads((out_dir / "summary.json").read_text())
     assert [r["status"] for r in summary["runs"]] == ["error", "ok"]
     assert summary["runs"][0]["error"].startswith("TypeError")
+    assert (out_dir / "001-generate.txt").exists()
+
+
+@pytest.mark.parametrize("entry,error", [
+    ({"action": "verify", "word": HOLUB, "claim": "block-closure", "params": {"depth": True}},
+     "TypeError: parameter 'depth' of block-closure takes int, got True"),
+    ({"action": "verify", "word": HOLUB, "claim": "block-closure", "params": {"depth": 2.5}},
+     "TypeError: parameter 'depth' of block-closure takes int, got 2.5"),
+    ({"action": "verify", "word": "fibonacci", "claim": "divergence",
+      "params": {"checkpoints": [16, "32"]}},
+     "TypeError: parameter 'checkpoints' of divergence takes tuple[int, ...], got [16, '32']"),
+    ({"action": "report", "word": "fibonacci", "params": {"cap": False}},
+     "TypeError: parameter 'cap' of report takes int | None, got False"),
+], ids=["bool-for-int", "float-for-int", "string-in-tuple", "bool-for-optional-int"])
+def test_batch_parameter_types_follow_the_checker_annotations(tmp_path, entry, error):
+    cfg = tmp_path / "batch.json"
+    _write_batch(cfg, [
+        entry,
+        {"action": "report", "word": "fibonacci", "params": {"checkpoints": [16, 32], "cap": None}},
+    ])
+    out_dir = tmp_path / "out"
+    assert run_batch(str(cfg), str(out_dir)) == 1
+    summary = json.loads((out_dir / "summary.json").read_text())
+    assert [r["status"] for r in summary["runs"]] == ["error", "windowed-pass"]
+    assert summary["runs"][0]["error"] == error
+    assert not (out_dir / f"000-{entry['action']}.txt").exists()
+    assert (out_dir / "001-report.txt").exists()
+
+
+def test_batch_word_with_holes_errors_one_run(tmp_path):
+    cfg = tmp_path / "batch.json"
+    _write_batch(cfg, [
+        {"action": "verify", "word": "periodic:ab?", "claim": "min-return-chain"},
+        {"action": "generate", "word": HOLUB, "params": {"n": 15}},
+    ])
+    out_dir = tmp_path / "out"
+    assert run_batch(str(cfg), str(out_dir)) == 1
+    summary = json.loads((out_dir / "summary.json").read_text())
+    assert [r["status"] for r in summary["runs"]] == ["error", "ok"]
+    assert summary["runs"][0]["error"] == (
+        "ValueError: cannot check min-return-chain on periodic:ab?: it has holes ('?')")
     assert (out_dir / "001-generate.txt").exists()
 
 

@@ -264,6 +264,15 @@ def test_profile_rejects_holes():
         profile(holub_toeplitz(HolubParams((2, 2)), 1), n=6)
 
 
+def test_h_of_and_local_period_sum_reject_holes():
+    with pytest.raises(ValueError, match="holes"):
+        h_of("ab?ab")
+    with pytest.raises(ValueError, match="holes"):
+        local_period_sum("ab?ab")
+    assert h_of("abaab") == Fraction(10, 5)
+    assert local_period_sum("abaab") == 10
+
+
 def test_default_cap_scales_with_n():
     prof = profile(fibonacci_source(), n=10)
     assert prof.cap == 4 * 10 + 64
