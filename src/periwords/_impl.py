@@ -3,8 +3,9 @@
 The scalar kernels are plain loops; local_periods_stream, oracle_sweep and
 cft_sweep, and the helpers the sweeps use (word_matrix, local_period_matrix,
 period_column, oracle_period_matrix, first_failure), are vectorized numpy
-code that the scalar kernels check in the tests. Positions handed to these
-functions are 1-based, matching the library API.
+code that the scalar kernels check in the tests; max_power reads the hits of
+occurrence_list. Positions handed to these functions are 1-based, matching
+the library API.
 """
 
 import numpy as np
@@ -429,32 +430,19 @@ def occurrence_list(z, s):
 
 
 def max_power(v, s):
-    # largest e with v repeated e times in a row somewhere in s (0 if absent)
+    # largest e with v repeated e times in a row somewhere in s (0 if absent):
+    # the longest chain of occurrences spaced |v| apart. Row r, column c of
+    # the grid is offset r*|v| + c, so each chain runs down one column.
     m = v.shape[0]
     n = s.shape[0]
     if m == 0 or m > n:
         return 0
-    limit = n - m
-    occ = np.zeros(limit + 1, np.uint8)
-    for j in range(limit + 1):
-        ok = True
-        for t in range(m):
-            if s[j + t] != v[t]:
-                ok = False
-                break
-        if ok:
-            occ[j] = 1
-    best = 0
-    chain = np.zeros(limit + 1, np.int64)
-    for j in range(limit, -1, -1):
-        if occ[j] == 1:
-            c = 1
-            if j + m <= limit and occ[j + m] == 1:
-                c = 1 + chain[j + m]
-            chain[j] = c
-            if c > best:
-                best = c
-    return best
+    rows = (n - m) // m + 1
+    grid = np.zeros((rows + 1, m), bool)  # the last row stays False
+    grid.flat[occurrence_list(v, s)] = True
+    # the columns end to end: runs of True are the chains
+    edges = np.flatnonzero(np.diff(grid.T.ravel(), prepend=False))
+    return int((edges[1::2] - edges[::2]).max(initial=0))
 
 
 def max_run_exponent(s, p_max):

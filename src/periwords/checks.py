@@ -17,8 +17,6 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from . import kernels
 from .errors import InsufficientWindowError
 from .factorize import (
@@ -38,10 +36,12 @@ from .periods import (
     is_unbordered,
     local_period_infinite,
     local_period_sum,
+    local_periods,
     period,
     profile,
 )
 from .words import (
+    HOLE,
     HolubParams,
     WordSource,
     anchor_length,
@@ -314,12 +314,12 @@ def check_toeplitz_stages(
         span,
         PASS,
     )
-    if "?" in got:
+    if HOLE in got:
         report.status = FAIL
         report.counterexample = {
             "op": "holub_toeplitz",
             "stage": stage,
-            "position": got.index("?") + 1,
+            "position": got.index(HOLE) + 1,
             "error": "hole inside the supposedly determined prefix",
         }
         return report
@@ -733,10 +733,6 @@ def _random_word(rng: random.Random, n: int) -> str:
     return "".join(rng.choice("ab") for _ in range(n))
 
 
-def _profile_array(w: str) -> np.ndarray:
-    return kernels.active.local_periods_finite(np.frombuffer(w.encode("ascii"), np.uint8))
-
-
 def check_factor_bound(
     trials: int = 10_000, maxlen: int = 14, seed: int = DEFAULT_SEED
 ) -> VerificationReport:
@@ -754,8 +750,8 @@ def check_factor_bound(
         a = rng.randint(0, n - 1)
         b = rng.randint(a + 1, n)
         v = w[a:b]
-        pw = _profile_array(w)
-        pv = _profile_array(v)
+        pw = local_periods(w)
+        pv = local_periods(v)
         report.instances += 1
         for i in range(1, len(v) + 1):
             if pv[i - 1] > pw[a + i - 1]:
@@ -785,9 +781,9 @@ def check_superadditivity(
         n = rng.randint(2, maxlen)
         w = _random_word(rng, n)
         c = rng.randint(1, n - 1)
-        s_w = int(_profile_array(w).sum())
-        s_u = int(_profile_array(w[:c]).sum())
-        s_v = int(_profile_array(w[c:]).sum())
+        s_w = local_period_sum(w)
+        s_u = local_period_sum(w[:c])
+        s_v = local_period_sum(w[c:])
         report.instances += 1
         if s_w < s_u + s_v:
             report.status = FAIL
@@ -804,12 +800,9 @@ def check_superadditivity(
 
 
 def _decode_word(n: int, code: int, letters: str = "ab") -> str:
-    # the sweeps' word order: code in base len(letters), last letter least significant
-    out = []
-    for _ in range(n):
-        out.append(letters[code % len(letters)])
-        code //= len(letters)
-    return "".join(reversed(out))
+    # row `code` of the sweeps' own letter matrix, so the order cannot drift
+    row = kernels.active.word_matrix(n, len(letters), code, code + 1)[0]
+    return "".join(letters[r] for r in row)
 
 
 def check_critical_exhaustive(alphabet_size: int = 2, maxlen: int = 12) -> VerificationReport:

@@ -20,7 +20,7 @@ from . import checks
 from .checks import DEFAULT_SEED, VerificationReport
 from .errors import DescriptorError, InsufficientWindowError
 from .factorize import alpha_chain, dyadic_factorization, return_factorization
-from .periods import profile
+from .periods import h_of, profile
 from .words import HOLE, HolubParams, WordSource, parse_descriptor
 
 LINE = 64  # letters per text line when rendering word prefixes
@@ -57,12 +57,25 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, data: dict) -> "ExperimentConfig":
+        if not isinstance(data, dict):
+            raise TypeError(f"a run takes an object, got {data!r}")
         known = {"action", "word", "text", "claim", "params", "format", "out", "seed"}
         extra = set(data) - known
         if extra:
             raise ValueError(f"unknown config fields: {sorted(extra)}")
         if "action" not in data:
             raise ValueError("config needs an 'action' field")
+        if not isinstance(data["action"], str):
+            raise TypeError(f"field 'action' takes a string, got {data['action']!r}")
+        for name in ("word", "text", "claim", "out"):
+            if not isinstance(data.get(name), (str, type(None))):
+                raise TypeError(f"field {name!r} takes a string or null, got {data[name]!r}")
+        if not isinstance(data.get("params") or {}, dict):
+            raise TypeError(f"field 'params' takes an object, got {data['params']!r}")
+        if data.get("format", "text") not in _EXT:
+            raise ValueError(f"field 'format' takes one of {list(_EXT)}, got {data['format']!r}")
+        if not _admits(int, data.get("seed", DEFAULT_SEED)):
+            raise TypeError(f"field 'seed' takes an int, got {data['seed']!r}")
         return cls(
             action=data["action"],
             word=data.get("word"),
@@ -325,30 +338,24 @@ def _run_factorize(cfg: ExperimentConfig) -> tuple[int, str | None]:
     p = cfg.params
     if p["mode"] == "dyadic":
         dy = dyadic_factorization(source, p["level"], p["horizon"])
-        if cfg.format == "csv":
-            from .periods import h_of
-            rows = []
-            for j, b in enumerate(dy.blocks):
-                h = h_of(b)
-                rows.append([j, j * dy.block_length, len(b), h.numerator, h.denominator])
-            _emit(cfg, _csv_text(["index", "offset", "length", "h_num", "h_den"], rows))
-        else:
-            _emit(cfg, _json_text(dy.to_json()))
-        return 0, None
-    if not p["z"]:
-        raise ValueError("factorize needs --z for return mode")
-    fact = return_factorization(
-        source, p["z"], p["horizon"], exponent=p["exponent"],
-        assert_block_prefix=p["alpha_power"],
-    )
+        # (index, offset, block) of every block in the csv table
+        blocks = [(j, j * dy.block_length, b) for j, b in enumerate(dy.blocks)]
+    else:
+        if not p["z"]:
+            raise ValueError("factorize needs --z for return mode")
+        fact = return_factorization(
+            source, p["z"], p["horizon"], exponent=p["exponent"],
+            assert_block_prefix=p["alpha_power"],
+        )
+        blocks = zip(range(1, len(fact.returns) + 1), fact.boundaries(), fact.returns)
     if cfg.format == "csv":
-        from .periods import h_of
         rows = []
-        bounds = fact.boundaries()
-        for j, w in enumerate(fact.returns, 1):
-            h = h_of(w)
-            rows.append([j, bounds[j - 1], len(w), h.numerator, h.denominator])
+        for j, offset, b in blocks:
+            h = h_of(b)
+            rows.append([j, offset, len(b), h.numerator, h.denominator])
         _emit(cfg, _csv_text(["index", "offset", "length", "h_num", "h_den"], rows))
+    elif p["mode"] == "dyadic":
+        _emit(cfg, _json_text(dy.to_json()))
     elif cfg.format == "json":
         _emit(cfg, _json_text(fact.to_json()))
     else:
@@ -438,7 +445,8 @@ def run(cfg: ExperimentConfig) -> int:
     return code
 
 
-_EXT = {"json": "json", "csv": "csv", "text": "txt"}
+# file extension of each --format choice
+_EXT = {"text": "txt", "json": "json", "csv": "csv"}
 
 
 def run_batch(config_path: str, out_dir: str) -> int:
@@ -452,11 +460,12 @@ def run_batch(config_path: str, out_dir: str) -> int:
     summary = []
     statuses = []
     for idx, entry in enumerate(runs):
-        row = {"index": idx, "action": entry.get("action"), "word": entry.get("word"),
-               "claim": entry.get("claim"), "status": None, "out": None, "error": None}
+        named = entry if isinstance(entry, dict) else {}
+        row = {"index": idx, "action": named.get("action"), "word": named.get("word"),
+               "claim": named.get("claim"), "status": None, "out": None, "error": None}
         try:
             cfg = ExperimentConfig.from_json(entry).resolved()
-            out_name = cfg.out or f"{idx:03d}-{cfg.action}.{_EXT.get(cfg.format, 'txt')}"
+            out_name = cfg.out or f"{idx:03d}-{cfg.action}.{_EXT[cfg.format]}"
             cfg = replace(cfg, out=os.path.join(out_dir, out_name))
             _, status = _RUNNERS[cfg.action](cfg)
             row["status"] = status or "ok"
@@ -503,7 +512,7 @@ def _build_parser() -> _Parser:
     def common(p, word=True):
         if word:
             p.add_argument("--word", help="word descriptor, e.g. fibonacci, holub:n=2,2;tail=repeat")
-        p.add_argument("--format", choices=["text", "json", "csv"], default="text")
+        p.add_argument("--format", choices=list(_EXT), default="text")
         p.add_argument("--out", help="output path (default stdout)")
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 

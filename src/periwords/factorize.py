@@ -9,73 +9,64 @@ the full word unless a caller vouches for a known repetition bound.
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import kernels
 from .errors import InsufficientWindowError
 from .periods import h_of
-from .words import WordSource
+from .words import WordSource, encode
 
 
-def _window(subject, horizon: int | None):
-    """Prefix text and rank array for either a str or a WordSource."""
-    if isinstance(subject, str):
-        n = len(subject) if horizon is None else min(horizon, len(subject))
-        text = subject[:n]
-        return text, np.frombuffer(text.encode("ascii"), np.uint8), None
+def _horizon(horizon: int | None) -> int:
     if horizon is None:
         raise ValueError("need a horizon for an infinite word")
-    return subject.prefix(horizon), subject.ranks(horizon), subject.alphabet
+    return horizon
 
 
-def _encode_like(z: str, subject, alphabet) -> np.ndarray:
-    if isinstance(subject, str):
-        return np.frombuffer(z.encode("ascii"), np.uint8)
-    return alphabet.encode(z, allow_hole=subject.has_holes)
+def occurrences(z: str, source: WordSource, horizon: int | None = None) -> list[int]:
+    """0-based offsets of every occurrence of z inside the window.
 
-
-def occurrences(z: str, subject, horizon: int | None = None) -> list[int]:
-    """0-based offsets of every occurrence of z inside the window."""
+    z may hold holes when the word does; a hole then matches only a hole.
+    """
     if not z:
         raise ValueError("empty factor")
-    text, arr, alphabet = _window(subject, horizon)
-    hits = kernels.active.occurrence_list(_encode_like(z, subject, alphabet), arr)
+    hits = kernels.active.occurrence_list(
+        encode(z, source.alphabet, allow_hole=source.has_holes), source.ranks(_horizon(horizon)))
     return [int(j) for j in hits]
 
 
-def return_words(z: str, subject, horizon: int | None = None) -> tuple[list[str], int]:
+def return_words(z: str, source: WordSource, horizon: int | None = None) -> tuple[list[str], int]:
     """Distinct return words to z in the window, plus the max return time.
 
     A return word spans one occurrence of z to the next; at least two
     occurrences are needed, otherwise the window is declared insufficient.
     """
-    occ = occurrences(z, subject, horizon)
+    occ = occurrences(z, source, horizon)
     if len(occ) < 2:
         raise InsufficientWindowError(
             f"{z!r} occurs {len(occ)} time(s) in a window of {horizon}; need >= 2"
         )
-    text, _, _ = _window(subject, horizon)
+    text = source.prefix(horizon)
     seen = sorted({text[a:b] for a, b in zip(occ, occ[1:])})
     max_time = max(b - a for a, b in zip(occ, occ[1:]))
     return seen, max_time
 
 
-def max_exponent(v: str, subject, horizon: int | None = None) -> int:
+def max_exponent(v: str, source: WordSource, horizon: int | None = None) -> int:
     """Largest e with v^e inside the window (0 when v does not occur)."""
     if not v:
         raise ValueError("empty factor")
-    text, arr, alphabet = _window(subject, horizon)
-    return int(kernels.active.max_power(_encode_like(v, subject, alphabet), arr))
+    return int(kernels.active.max_power(
+        encode(v, source.alphabet, allow_hole=source.has_holes), source.ranks(_horizon(horizon))))
 
 
-def repetition_exponent_estimate(subject, horizon: int | None = None, max_period: int = 64) -> int:
+def repetition_exponent_estimate(
+    source: WordSource, horizon: int | None = None, max_period: int = 64
+) -> int:
     """Windowed max over short-period factors v of the largest power v^e.
 
     A lower bound for the full word; it grows with the horizon on periodic
     input, which is exactly how callers detect that no uniform bound exists.
     """
-    text, arr, _ = _window(subject, horizon)
-    return int(kernels.active.max_run_exponent(arr, max_period))
+    return int(kernels.active.max_run_exponent(source.ranks(_horizon(horizon)), max_period))
 
 
 @dataclass(frozen=True)
@@ -198,7 +189,7 @@ class ReturnFactorization:
 
 
 def return_factorization(
-    source,
+    source: WordSource,
     z: str,
     horizon: int | None = None,
     exponent: int | None = None,
@@ -215,7 +206,7 @@ def return_factorization(
         raise InsufficientWindowError(
             f"{z!r} occurs {len(occ)} time(s) in a window of {horizon}; need >= 2"
         )
-    text, _, _ = _window(source, horizon)
+    text = source.prefix(horizon)
     preamble = text[: occ[0]]
     returns = [text[a:b] for a, b in zip(occ, occ[1:])]
     if assert_block_prefix:
@@ -224,7 +215,7 @@ def return_factorization(
                 raise ValueError(
                     f"marker occurrences overlap: block {j} ({w!r}) does not start with {z!r}"
                 )
-    return ReturnFactorization(z, preamble, returns, horizon or len(text), exponent)
+    return ReturnFactorization(z, preamble, returns, horizon, exponent)
 
 
 def h_floor(fact: ReturnFactorization, window: int | None = None) -> Fraction:
@@ -260,11 +251,13 @@ class DyadicFactorization:
         }
 
 
-def dyadic_factorization(source, level: int, horizon: int | None = None) -> DyadicFactorization:
+def dyadic_factorization(
+    source: WordSource, level: int, horizon: int | None = None
+) -> DyadicFactorization:
     """Cut the window into blocks of length 2^level (a final stub is dropped)."""
     if level < 0:
         raise ValueError("level must be >= 0")
-    text, _, _ = _window(source, horizon)
+    text = source.prefix(_horizon(horizon))
     blen = 2 ** level
     count = len(text) // blen
     if count < 1:

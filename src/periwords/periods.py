@@ -17,17 +17,12 @@ from fractions import Fraction
 import numpy as np
 
 from . import kernels
-from .words import BINARY, HOLE, Alphabet, WordSource
+from .words import BINARY, HOLE, Alphabet, WordSource, encode
 
 SQUARE = "square"
 RIGHT_OVERHANG = "right-overhang"
 LEFT_OVERHANG = "left-overhang"
 DOUBLE_OVERHANG = "double-overhang"
-
-
-def _arr(w: str) -> np.ndarray:
-    # equality-only kernels just need consistent byte codes, ASCII is fine
-    return np.frombuffer(w.encode("ascii"), np.uint8)
 
 
 @dataclass(frozen=True)
@@ -50,14 +45,14 @@ def period(w: str) -> int:
     """Least p >= 1 with w[i] == w[i+p] wherever both sides exist."""
     if not w:
         raise ValueError("the empty word has no period")
-    return int(kernels.active.period_of(_arr(w)))
+    return int(kernels.active.period_of(encode(w)))
 
 
 def shortest_border(w: str) -> str | None:
     """Shortest nonempty proper prefix that is also a suffix, or None."""
     if not w:
         raise ValueError("empty word")
-    b = int(kernels.active.shortest_border_length(_arr(w)))
+    b = int(kernels.active.shortest_border_length(encode(w)))
     return w[:b] if b else None
 
 
@@ -75,7 +70,7 @@ def least_conjugate(w: str, alphabet: Alphabet = BINARY) -> str:
     """Lexicographically least rotation of w under the alphabet order."""
     if not w:
         raise ValueError("empty word")
-    idx = int(kernels.active.least_rotation_index(alphabet.encode(w)))
+    idx = int(kernels.active.least_rotation_index(encode(w, alphabet)))
     return w[idx:] + w[:idx]
 
 
@@ -106,7 +101,7 @@ def local_period(w: str, i: int) -> RepetitionWitness:
     n = len(w)
     if not 1 <= i <= n:
         raise ValueError(f"position {i} outside 1..{n}")
-    L = int(kernels.active.local_period_finite(_arr(w), i))
+    L = int(kernels.active.local_period_finite(encode(w), i))
     lv = n - i
     case = _case_of(L, i, lv)
     if case in (SQUARE, RIGHT_OVERHANG):
@@ -155,7 +150,7 @@ def local_period_oracle(w: str, i: int, alphabet: Alphabet = BINARY) -> int:
         raise ValueError("oracle is exponential; |w| <= 16 only")
     if not 1 <= i <= n:
         raise ValueError(f"position {i} outside 1..{n}")
-    return int(kernels.active.oracle_local_period(alphabet.encode(w), i, alphabet.size))
+    return int(kernels.active.oracle_local_period(encode(w, alphabet), i, alphabet.size))
 
 
 @dataclass
@@ -246,7 +241,7 @@ def profile(subject, n: int | None = None, cap: int | None = None) -> PeriodProf
     if isinstance(subject, str):
         if not subject:
             raise ValueError("empty word")
-        lps = _local_periods(subject)
+        lps = local_periods(subject)
         return PeriodProfile(subject, [int(v) for v in lps], cap=None)
     if n is None:
         raise ValueError("need n for an infinite word")
@@ -260,32 +255,30 @@ def profile(subject, n: int | None = None, cap: int | None = None) -> PeriodProf
     return PeriodProfile(subject.descriptor, vals, cap=cap)
 
 
-def _local_periods(w: str) -> np.ndarray:
-    # a hole would be matched as a letter of its own
-    if HOLE in w:
-        raise ValueError(f"cannot profile a word with holes ({HOLE!r})")
-    return kernels.active.local_periods_finite(_arr(w))
+def local_periods(w: str) -> np.ndarray:
+    """Local periods at positions 1..|w| of a finite word, as an int64 array."""
+    return kernels.active.local_periods_finite(encode(w))
 
 
 def h_of(w: str) -> Fraction:
     """Mean of the local periods over all positions of a finite word."""
     if not w:
         raise ValueError("empty word")
-    return Fraction(int(_local_periods(w).sum()), len(w))
+    return Fraction(int(local_periods(w).sum()), len(w))
 
 
 def local_period_sum(w: str) -> int:
     """Integer sum of all local periods of w (|w| times h(w))."""
     if not w:
         return 0
-    return int(_local_periods(w).sum())
+    return int(local_periods(w).sum())
 
 
 def critical_positions(w: str) -> list[int]:
     """All positions whose local period equals the period of w, ascending."""
     if not w:
         raise ValueError("empty word")
-    arr = _arr(w)
+    arr = encode(w)
     p = int(kernels.active.period_of(arr))
     lps = kernels.active.local_periods_finite(arr)
     return [i + 1 for i, v in enumerate(lps) if int(v) == p]

@@ -58,8 +58,7 @@ class Alphabet:
 
     def encode(self, word: str, allow_hole: bool = False) -> np.ndarray:
         """Rank-encode a word as a uint8 array (holes become {HOLE_RANK})."""
-        self.validate(word, allow_hole=allow_hole)
-        return np.frombuffer(word.encode("ascii").translate(self._trans), np.uint8).copy()
+        return encode(word, self, allow_hole)
 
     def sort_key(self, word: str):
         """Key for lexicographic order where a proper prefix sorts first."""
@@ -70,6 +69,26 @@ class Alphabet:
 
 
 BINARY = Alphabet("ab")
+
+
+def encode(word: str, alphabet: Alphabet | None = None, allow_hole: bool = False) -> np.ndarray:
+    """The one letter encoding: a word as the uint8 array every kernel reads.
+
+    With an alphabet the codes are ranks and a hole becomes HOLE_RANK; without
+    one they are the ASCII bytes, which is all an equality-only kernel needs.
+    A hole is refused unless allow_hole is set, since a kernel would match it
+    as a letter of its own; only a holed source's ranks and occurrence search
+    in it admit holes.
+    """
+    if not allow_hole and HOLE in word:
+        raise ValueError(f"cannot scan a word with holes ({HOLE!r})")
+    if alphabet is None:
+        if not word.isascii():
+            bad = sorted({c for c in word if not c.isascii()})
+            raise ValueError(f"letters {bad!r} are not ASCII")
+        return np.frombuffer(word.encode("ascii"), np.uint8)
+    alphabet.validate(word, allow_hole=allow_hole)
+    return np.frombuffer(word.encode("ascii").translate(alphabet._trans), np.uint8).copy()
 
 
 def lex_compare(w1: str, w2: str, alphabet: Alphabet = BINARY) -> int:

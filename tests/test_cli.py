@@ -100,6 +100,13 @@ def test_words_with_holes_are_a_parameter_error(argv, capsys):
     assert capsys.readouterr().err.startswith("parameter error:")
 
 
+def test_non_ascii_letter_is_a_parameter_error(capsys):
+    assert main(["profile", "--text", "xé"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("parameter error:")
+    assert "'é'" in err and "codec" not in err
+
+
 # ---------------------------------------------------------------------------
 # formats
 
@@ -438,6 +445,36 @@ def test_batch_unknown_parameter_errors_one_run(tmp_path):
         "ValueError: unknown parameters for block-closure: ['dept']")
     assert not (out_dir / "000-verify.txt").exists()
     assert (out_dir / "001-generate.txt").exists()
+
+
+@pytest.mark.parametrize("entry,error", [
+    (5, "TypeError: a run takes an object, got 5"),
+    ({"action": 5, "word": HOLUB}, "TypeError: field 'action' takes a string, got 5"),
+    ({"action": "generate", "word": 5}, "TypeError: field 'word' takes a string or null, got 5"),
+    ({"action": "profile", "text": 5}, "TypeError: field 'text' takes a string or null, got 5"),
+    ({"action": "verify", "claim": ["big"]},
+     "TypeError: field 'claim' takes a string or null, got ['big']"),
+    ({"action": "generate", "word": HOLUB, "out": 7},
+     "TypeError: field 'out' takes a string or null, got 7"),
+    ({"action": "generate", "word": HOLUB, "params": [15]},
+     "TypeError: field 'params' takes an object, got [15]"),
+    ({"action": "generate", "word": HOLUB, "format": "xml"},
+     "ValueError: field 'format' takes one of ['text', 'json', 'csv'], got 'xml'"),
+    ({"action": "verify", "claim": "factor-bound", "params": {"trials": 5}, "seed": "3"},
+     "TypeError: field 'seed' takes an int, got '3'"),
+    ({"action": "verify", "claim": "factor-bound", "params": {"trials": 5}, "seed": True},
+     "TypeError: field 'seed' takes an int, got True"),
+], ids=["run", "action", "word", "text", "claim", "out", "params", "format", "seed-str",
+        "seed-bool"])
+def test_batch_config_fields_are_type_checked(tmp_path, entry, error):
+    cfg = tmp_path / "batch.json"
+    _write_batch(cfg, [entry, {"action": "generate", "word": HOLUB, "params": {"n": 15}}])
+    out_dir = tmp_path / "out"
+    assert run_batch(str(cfg), str(out_dir)) == 1
+    summary = json.loads((out_dir / "summary.json").read_text())
+    assert [r["status"] for r in summary["runs"]] == ["error", "ok"]
+    assert summary["runs"][0]["error"] == error
+    assert sorted(os.listdir(out_dir)) == ["001-generate.txt", "summary.json"]
 
 
 def test_batch_runs_of_the_wrong_type_is_a_parameter_error(tmp_path, capsys):

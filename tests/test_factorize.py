@@ -35,6 +35,23 @@ def test_occurrences_are_zero_based_offsets():
     assert occurrences("bb", FIB, 500) == []
 
 
+def test_occurrence_search_admits_holes_only_in_holed_words():
+    # a hole in z matches a hole of the word, never a letter
+    holed = PeriodicSource("a?b")
+    assert occurrences("a?", holed, 20) == [0, 3, 6, 9, 12, 15, 18]
+    assert occurrences("?b", holed, 20) == [1, 4, 7, 10, 13, 16]
+    with pytest.raises(ValueError, match="holes"):
+        occurrences("a?", FIB, 50)
+
+
+def test_search_needs_a_horizon():
+    for search in (occurrences, max_exponent):
+        with pytest.raises(ValueError, match="horizon"):
+            search("a", FIB)
+    with pytest.raises(ValueError, match="horizon"):
+        repetition_exponent_estimate(FIB)
+
+
 def test_return_words_fibonacci():
     rws, max_time = return_words("a", FIB, 10_000)
     assert rws == ["a", "ab"] and max_time == 2

@@ -2,8 +2,9 @@
 
 The vectorized local_periods_stream is checked against the per-position scan
 local_period_stream, and the vectorized oracle_sweep/cft_sweep against the
-one-word-at-a-time loops below, which call the scalar kernels; sizes are kept
-small because the scalar side is interpreted.
+one-word-at-a-time loops below, which call the scalar kernels; max_power is
+checked against the per-offset loop it once ran. Sizes are kept small because
+the scalar side is interpreted.
 """
 
 import itertools
@@ -271,3 +272,54 @@ def test_sweeps_report_a_planted_failure_in_a_later_block(monkeypatch):
     checks = sum(n * 2 ** n for n in range(1, 13))
     assert PY.oracle_sweep(12, 2).tolist() == [checks, 2, 2, 12, 3000, 5]
     assert PY.cft_sweep(12, 2).tolist() == [2 ** 13 - 2, 2, 12, 3001]
+
+
+def _loop_max_power(v, s):
+    # the per-offset search and chain scan max_power once ran on its own
+    m = v.shape[0]
+    n = s.shape[0]
+    if m == 0 or m > n:
+        return 0
+    limit = n - m
+    occ = np.zeros(limit + 1, np.uint8)
+    for j in range(limit + 1):
+        ok = True
+        for t in range(m):
+            if s[j + t] != v[t]:
+                ok = False
+                break
+        if ok:
+            occ[j] = 1
+    best = 0
+    chain = np.zeros(limit + 1, np.int64)
+    for j in range(limit, -1, -1):
+        if occ[j] == 1:
+            c = 1
+            if j + m <= limit and occ[j + m] == 1:
+                c = 1 + chain[j + m]
+            chain[j] = c
+            if c > best:
+                best = c
+    return best
+
+
+def _binary_words(maxlen, minlen=0):
+    for size in range(minlen, maxlen + 1):
+        for letters in itertools.product((0, 1), repeat=size):
+            yield np.array(letters, np.uint8)
+
+
+def test_max_power_matches_the_loop_on_every_short_binary_pair(table):
+    factors = list(_binary_words(4, minlen=1))
+    for s in _binary_words(10):
+        for v in factors:
+            assert int(table.max_power(v, s)) == _loop_max_power(v, s), (v, s)
+
+
+@pytest.mark.parametrize("descriptor", ["fibonacci", "thue-morse", "holub:n=2,2", "periodic:ab"])
+def test_max_power_matches_the_loop_on_long_prefixes(table, descriptor):
+    src = parse_descriptor(descriptor)
+    s = src.ranks(100_000)
+    for z in ("a", "aa", "ab", "aab", "abaab"):
+        v = src.alphabet.encode(z)
+        assert int(table.max_power(v, s)) == _loop_max_power(v, s), z

@@ -26,6 +26,7 @@ from periwords.periods import (
     local_period_infinite,
     local_period_oracle,
     local_period_sum,
+    local_periods,
     period,
     profile,
     shortest_border,
@@ -271,6 +272,21 @@ def test_h_of_and_local_period_sum_reject_holes():
         local_period_sum("ab?ab")
     assert h_of("abaab") == Fraction(10, 5)
     assert local_period_sum("abaab") == 10
+
+
+@pytest.mark.parametrize("fn", [
+    period, shortest_border, is_primitive, is_unbordered, is_lyndon, least_conjugate,
+    lambda w: local_period(w, 2), critical_positions, local_periods, h_of,
+    local_period_sum, profile, lambda w: local_period_oracle(w, 2),
+], ids=[
+    "period", "shortest_border", "is_primitive", "is_unbordered", "is_lyndon",
+    "least_conjugate", "local_period", "critical_positions", "local_periods", "h_of",
+    "local_period_sum", "profile", "local_period_oracle",
+])
+def test_finite_word_functions_reject_holes(fn):
+    # a kernel would match the hole as a letter: period("ab?ab") would be 3
+    with pytest.raises(ValueError, match="holes"):
+        fn("ab?ab")
 
 
 def test_default_cap_scales_with_n():

@@ -2,12 +2,15 @@
 
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
+import periwords
 from periwords.errors import DescriptorError
 from periwords.words import (
     BINARY,
+    HOLE_RANK,
     Alphabet,
     FormulaSource,
     HolubParams,
@@ -26,6 +29,7 @@ from periwords.words import (
     parse_descriptor,
     predicted_peak_period,
     predicted_witness,
+    encode,
     thue_morse_source,
 )
 
@@ -49,6 +53,29 @@ def test_alphabet_basics():
         Alphabet("aa")
     with pytest.raises(ValueError):
         Alphabet("a?")
+
+
+def test_encode_ranks_bytes_and_holes():
+    assert encode("ba", Alphabet("ba")).tolist() == [0, 1]
+    assert encode("ba").tolist() == [98, 97]  # no alphabet: the ASCII bytes
+    assert encode("a?b", BINARY, allow_hole=True).tolist() == [0, HOLE_RANK, 1]
+    assert encode("a?b", allow_hole=True).tolist() == [97, 63, 98]
+    for alphabet in (None, BINARY):
+        with pytest.raises(ValueError, match="holes"):
+            encode("a?b", alphabet)
+    with pytest.raises(ValueError, match="'é'"):
+        encode("xé")
+    with pytest.raises(ValueError, match="'c'"):
+        encode("abc", BINARY)
+
+
+def test_words_is_the_only_module_that_encodes_letters():
+    # every kernel input goes through words.encode, under its one hole rule
+    package = Path(periwords.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name != "words.py":
+            text = path.read_text(encoding="utf-8")
+            assert "frombuffer" not in text and '.encode("ascii")' not in text, path.name
 
 
 def test_lex_compare_proper_prefix_is_smaller():
