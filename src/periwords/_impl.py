@@ -1,9 +1,13 @@
 """Scan kernels over uint8 letter arrays: the one kernel table.
 
-The scalar kernels are plain loops; local_periods_stream, oracle_sweep and
-cft_sweep, and the helpers the sweeps use (word_matrix, local_period_matrix,
-period_column, oracle_period_matrix, first_failure), are vectorized numpy
-code that the scalar kernels check in the tests; max_power reads the hits of
+Still scalar Python loops: border_table (and period_of and
+shortest_border_length on it), local_period_finite and local_periods_finite,
+local_period_stream, oracle_local_period and least_rotation_index.
+Vectorized numpy code, checked in the tests against those loops or against
+the loops they replaced: local_periods_stream; oracle_sweep and cft_sweep
+with the helpers the sweeps use (word_matrix, local_period_matrix,
+period_column, oracle_period_matrix, first_failure); the search kernels
+occurrence_list and max_run_exponent; and max_power, which reads the hits of
 occurrence_list. Positions handed to these functions are 1-based, matching
 the library API.
 """
@@ -410,23 +414,21 @@ def cft_sweep(maxlen, nletters):
 
 
 def occurrence_list(z, s):
-    # all 0-based offsets where z occurs in s
+    # all 0-based offsets where z occurs in s, in increasing order: the
+    # offsets of z's first letter, narrowed by the next columns of z, as
+    # many columns at a time as fit a block of _BLOCK elements. A hole rank
+    # matches only a hole rank.
     m = z.shape[0]
     n = s.shape[0]
     if m == 0 or m > n:
         return np.empty(0, np.int64)
-    out = np.empty(n - m + 1, np.int64)
-    c = 0
-    for j in range(n - m + 1):
-        ok = True
-        for t in range(m):
-            if s[j + t] != z[t]:
-                ok = False
-                break
-        if ok:
-            out[c] = j
-            c += 1
-    return out[:c].copy()
+    cand = np.flatnonzero(s[:n - m + 1] == z[0])
+    t = 1
+    while t < m and cand.size:
+        w = min(m - t, max(1, _BLOCK // cand.size))
+        cand = cand[(s[cand[:, None] + np.arange(t, t + w)] == z[t:t + w]).all(1)]
+        t += w
+    return cand
 
 
 def max_power(v, s):
@@ -447,24 +449,18 @@ def max_power(v, s):
 
 def max_run_exponent(s, p_max):
     # max over periods p <= p_max of the largest integer power v^e with |v| = p;
-    # a run of r agreements at shift p yields e = r // p + 1
+    # a run of r agreements s[j] == s[j+p] yields e = r // p + 1, and the
+    # runs at shift p lie between the mismatches (sentinels at both ends)
     n = s.shape[0]
     if n == 0:
         return 0
     best = 1
-    top = p_max
-    if top > n - 1:
-        top = n - 1
-    for p in range(1, top + 1):
-        run = 0
-        for j in range(n - p):
-            if s[j] == s[j + p]:
-                run += 1
-                e = run // p + 1
-                if e > best:
-                    best = e
-            else:
-                run = 0
+    for p in range(1, min(p_max, n - 1) + 1):
+        if (n - p) // p + 1 <= best:
+            break  # no run at this shift or a longer one can beat best
+        cuts = np.flatnonzero(s[:n - p] != s[p:])
+        run = int(np.diff(cuts, prepend=-1, append=n - p).max()) - 1
+        best = max(best, run // p + 1)
     return best
 
 

@@ -46,6 +46,7 @@ from .words import (
     WordSource,
     anchor_length,
     holub_letter,
+    holub_letters,
     holub_toeplitz,
     holub_u,
     holub_word,
@@ -277,17 +278,17 @@ def check_letter_formula(params: HolubParams, n: int = 10_000) -> VerificationRe
     report = VerificationReport(
         "letter-formula", {"word": source.descriptor, "n": n}, n, PASS
     )
-    for i in range(1, n + 1):
-        if holub_letter(params, i) != recursion[i - 1]:
-            report.status = FAIL
-            report.counterexample = {
-                "op": "holub_letter",
-                "word": source.descriptor,
-                "position": i,
-                "expected": recursion[i - 1],
-                "actual": holub_letter(params, i),
-            }
-            break
+    formula = holub_letters(params, n)
+    if formula != recursion:
+        i = next(t for t in range(n) if formula[t] != recursion[t]) + 1
+        report.status = FAIL
+        report.counterexample = {
+            "op": "holub_letter",
+            "word": source.descriptor,
+            "position": i,
+            "expected": recursion[i - 1],
+            "actual": holub_letter(params, i),
+        }
     return report
 
 

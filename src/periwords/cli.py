@@ -158,6 +158,14 @@ class ClaimSpec:
     help: str  # first line of the checker's docstring
 
     def run(self, params: dict, source: WordSource | None) -> VerificationReport:
+        """Run the checker; a pass that checked no instance decides nothing."""
+        rep = self._check(params, source)
+        if rep.status in (checks.PASS, checks.WINDOWED) and rep.instances == 0:
+            rep.status = checks.INCONCLUSIVE
+            rep.notes = "; ".join(filter(None, (rep.notes, "no instance was checked")))
+        return rep
+
+    def _check(self, params: dict, source: WordSource | None) -> VerificationReport:
         checker = getattr(checks, self.checker)
         if self.kind == "none":
             return checker(**params)

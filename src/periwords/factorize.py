@@ -30,7 +30,7 @@ def occurrences(z: str, source: WordSource, horizon: int | None = None) -> list[
         raise ValueError("empty factor")
     hits = kernels.active.occurrence_list(
         encode(z, source.alphabet, allow_hole=source.has_holes), source.ranks(_horizon(horizon)))
-    return [int(j) for j in hits]
+    return hits.tolist()
 
 
 def return_words(z: str, source: WordSource, horizon: int | None = None) -> tuple[list[str], int]:

@@ -342,15 +342,34 @@ def holub_letter(params: HolubParams, i: int) -> str:
     return "b"
 
 
+def holub_letters(params: HolubParams, n: int) -> str:
+    """The first n letters from the residue rule, all positions at once.
+
+    Position i is 'a' exactly when i = m_0...m_j modulo m_0...m_j*m_(j+1)
+    for some j with m_0...m_j <= n, as in holub_letter: each level marks
+    its residue class with one strided write.
+    """
+    if n < 0:
+        raise ValueError("prefix length must be nonnegative")
+    out = np.full(n, ord("b"), np.uint8)
+    prod = 1
+    j = 0
+    while prod <= n:
+        out[prod - 1::prod * params.m(j + 1)] = ord("a")
+        j += 1
+        prod *= params.m(j)
+    return out.tobytes().decode("ascii")
+
+
 class FormulaSource(WordSource):
-    """Same word as HolubSource, generated letterwise from the residue rule."""
+    """Same word as HolubSource, generated from the residue rule."""
 
     def __init__(self, params: HolubParams):
         super().__init__(f"holub-formula:{params.descriptor_body()}", BINARY)
         self.params = params
 
     def _generate(self, n: int) -> str:
-        return "".join(holub_letter(self.params, i) for i in range(1, n + 1))
+        return holub_letters(self.params, n)
 
 
 class ToeplitzSource(WordSource):

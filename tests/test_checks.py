@@ -37,7 +37,9 @@ from periwords.periods import period, profile
 from periwords.words import (
     HolubParams,
     PeriodicSource,
+    WordSource,
     fibonacci_source,
+    holub_letter,
     holub_word,
     parse_descriptor,
     thue_morse_source,
@@ -111,6 +113,41 @@ def test_occurrence_rigidity_windowed():
 def test_letter_formula():
     rep = check_letter_formula(P22, n=2_000)
     assert rep.status == PASS and rep.instances == 2_000
+
+
+class _FlippedHolub(WordSource):
+    """The recursion's word with the letters at the given positions flipped."""
+
+    def __init__(self, params, positions):
+        super().__init__(f"holub:{params.descriptor_body()}")
+        self.real = holub_word(params)
+        self.positions = positions
+
+    def _generate(self, n):
+        out = list(self.real.prefix(n))
+        for i in self.positions:
+            if i <= n:
+                out[i - 1] = "ab"[out[i - 1] == "a"]
+        return "".join(out)
+
+
+@pytest.mark.parametrize("positions", [(777,), (2_000,), (1_500, 40)])
+def test_letter_formula_reports_a_planted_recursion_error(monkeypatch, positions):
+    monkeypatch.setattr(checks, "holub_word", lambda params: _FlippedHolub(params, positions))
+    n = 2_000
+    rep = check_letter_formula(P22, n=n)
+    # the counterexample the letter-by-letter scalar rule finds first
+    recursion = _FlippedHolub(P22, positions).prefix(n)
+    i = next(i for i in range(1, n + 1) if holub_letter(P22, i) != recursion[i - 1])
+    assert i == min(positions)
+    assert rep.status == FAIL and rep.instances == n
+    assert rep.counterexample == {
+        "op": "holub_letter",
+        "word": "holub:n=2,2;tail=repeat",
+        "position": i,
+        "expected": recursion[i - 1],
+        "actual": holub_letter(P22, i),
+    }
 
 
 def test_toeplitz_stages_auto_and_explicit():

@@ -36,6 +36,21 @@ def test_verify_inconclusive_exits_three(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("args", [
+    ["--claim", "factor-bound", "--trials", "0"],
+    ["--claim", "superadditivity", "--trials", "0"],
+    ["--word", "holub:n=2,2", "--claim", "letter-formula", "--n", "0"],
+    ["--word", "holub:n=2,2", "--claim", "toeplitz-stages", "--n", "0"],
+    ["--claim", "critical-exhaustive", "--maxlen", "0"],
+    ["--claim", "oracle-equivalence", "--maxlen", "0"],
+], ids=lambda args: args[args.index("--claim") + 1])
+def test_a_claim_that_checked_no_instance_is_inconclusive(capsys, args):
+    assert main(["verify", *args, "--format", "json"]) == 3
+    rep = json.loads(out_of(capsys))
+    assert rep["status"] == "inconclusive" and rep["instances"] == 0
+    assert rep["notes"].endswith("no instance was checked")
+
+
 def test_windowed_pass_exits_zero_with_warning(capsys):
     code = main(["verify", "--word", "fibonacci", "--claim", "min-return-chain"])
     captured = capsys.readouterr()

@@ -2,9 +2,9 @@
 
 The vectorized local_periods_stream is checked against the per-position scan
 local_period_stream, and the vectorized oracle_sweep/cft_sweep against the
-one-word-at-a-time loops below, which call the scalar kernels; max_power is
-checked against the per-offset loop it once ran. Sizes are kept small because
-the scalar side is interpreted.
+one-word-at-a-time loops below, which call the scalar kernels; max_power,
+occurrence_list and max_run_exponent are checked against the per-offset loops
+they once ran. Sizes are kept small because the scalar side is interpreted.
 """
 
 import itertools
@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from periwords import kernels
-from periwords.words import parse_descriptor
+from periwords.words import HOLE_RANK, parse_descriptor
 
 PY = kernels.python_kernels()
 
@@ -323,3 +323,111 @@ def test_max_power_matches_the_loop_on_long_prefixes(table, descriptor):
     for z in ("a", "aa", "ab", "aab", "abaab"):
         v = src.alphabet.encode(z)
         assert int(table.max_power(v, s)) == _loop_max_power(v, s), z
+
+
+def _loop_occurrence_list(z, s):
+    # the per-offset search occurrence_list once ran
+    m = z.shape[0]
+    n = s.shape[0]
+    if m == 0 or m > n:
+        return np.empty(0, np.int64)
+    out = np.empty(n - m + 1, np.int64)
+    c = 0
+    for j in range(n - m + 1):
+        ok = True
+        for t in range(m):
+            if s[j + t] != z[t]:
+                ok = False
+                break
+        if ok:
+            out[c] = j
+            c += 1
+    return out[:c].copy()
+
+
+def _loop_max_run_exponent(s, p_max):
+    # the per-shift run scan max_run_exponent once ran
+    n = s.shape[0]
+    if n == 0:
+        return 0
+    best = 1
+    top = p_max
+    if top > n - 1:
+        top = n - 1
+    for p in range(1, top + 1):
+        run = 0
+        for j in range(n - p):
+            if s[j] == s[j + p]:
+                run += 1
+                e = run // p + 1
+                if e > best:
+                    best = e
+            else:
+                run = 0
+    return best
+
+
+def _occurrences(table, z, s):
+    got = table.occurrence_list(z, s)
+    assert got.dtype == np.int64
+    return got.tolist()
+
+
+def test_occurrence_list_matches_the_loop_on_every_short_binary_pair(table):
+    factors = list(_binary_words(4))
+    for s in _binary_words(10):
+        for z in factors:
+            assert _occurrences(table, z, s) == _loop_occurrence_list(z, s).tolist(), (z, s)
+
+
+def test_max_run_exponent_matches_the_loop_on_every_short_binary_word(table):
+    for s in _binary_words(10):
+        for p_max in range(7):
+            assert table.max_run_exponent(s, p_max) == _loop_max_run_exponent(s, p_max), (s, p_max)
+
+
+LONG_PREFIXES = ["fibonacci", "thue-morse", "holub:n=2,2", "periodic:ab",
+                 "morphic:a=abc,b=ac,c=b;seed=a", "toeplitz:n=2,2,2;stage=2"]
+
+
+@pytest.mark.parametrize("descriptor", LONG_PREFIXES)
+def test_search_kernels_match_the_loops_on_long_prefixes(table, descriptor):
+    n = 100_000
+    src = parse_descriptor(descriptor)
+    s = src.ranks(n)
+    text = src.prefix(n)
+    # z starting with the most frequent letter (the hole included) has more
+    # first-letter candidates than one comparison block holds
+    top = max(set(text), key=text.count)
+    assert text.count(top) > PY._BLOCK
+    j = text.index(top, 500)
+    zs = ["a", "ab", "aab", "abaab", text[1000:1143], text[j:j + 6]]
+    if src.has_holes:
+        assert "?" in text[1000:1143]
+    for z in zs:
+        v = src.alphabet.encode(z, allow_hole=src.has_holes)
+        assert _occurrences(table, v, s) == _loop_occurrence_list(v, s).tolist(), z
+    assert table.max_run_exponent(s, 6) == _loop_max_run_exponent(s, 6)
+
+
+_LETTERS = st.sampled_from((0, 1, 2, HOLE_RANK))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_occurrence_list_matches_the_loop_on_random_pairs(data):
+    s = np.array(data.draw(st.lists(_LETTERS, max_size=80)), np.uint8)
+    if s.size and data.draw(st.booleans()):
+        # a factor of s, so that hits exist
+        a = data.draw(st.integers(0, s.size - 1))
+        z = s[a:data.draw(st.integers(a + 1, s.size))].copy()
+    else:
+        z = np.array(data.draw(st.lists(_LETTERS, max_size=6)), np.uint8)
+    assert _occurrences(PY, z, s) == _loop_occurrence_list(z, s).tolist()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(0, 2), max_size=80), st.integers(-1, 12))
+def test_max_run_exponent_matches_the_loop_on_random_words(letters, p_max):
+    s = np.array(letters, np.uint8)
+    assert PY.max_run_exponent(s, p_max) == _loop_max_run_exponent(s, p_max)

@@ -22,6 +22,7 @@ from periwords.words import (
     hole_source,
     holub_for_target,
     holub_letter,
+    holub_letters,
     holub_toeplitz,
     holub_u,
     holub_word,
@@ -194,6 +195,28 @@ def test_a_positions_of_repeating_two():
 def test_formula_source_equals_recursive_source():
     for params in (P222, P234):
         assert FormulaSource(params).prefix(600) == holub_word(params).prefix(600)
+
+
+# the heads the benchmark's factor-scan workload draws from, plus two more
+# shapes: a single exponent and an arithmetic tail
+@pytest.mark.parametrize("params", [
+    HolubParams((2, 2, 6)), HolubParams((2, 2, 7)), HolubParams((2, 4, 4)),
+    HolubParams((2, 4, 5)), HolubParams((3,)), HolubParams((2, 3), tail="step", step=2),
+], ids=lambda p: p.descriptor_body())
+def test_residue_rule_for_all_positions_matches_the_scalar_rule_and_the_recursion(params):
+    n = 100_000
+    got = holub_letters(params, n)
+    assert got == holub_word(params).prefix(n)
+    assert got[:5_000] == "".join(holub_letter(params, i) for i in range(1, 5_001))
+    assert FormulaSource(params).prefix(n) == got
+    # every length, the ones just past a block boundary included
+    for k in (0, 1, 2, 3, params.block_length(2), params.block_length(2) + 1):
+        assert holub_letters(params, k) == got[:k]
+
+
+def test_residue_rule_needs_a_nonnegative_length():
+    with pytest.raises(ValueError, match="nonnegative"):
+        holub_letters(P222, -1)
 
 
 def test_toeplitz_stage_zero_and_one():
