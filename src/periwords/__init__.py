@@ -8,6 +8,9 @@ chosen positions.  A checker layer turns each structural claim about these
 objects into a replayable pass/fail report, and the CLI exposes the lot.
 """
 
+# numpy imports faster from here than from deep inside the package
+import numpy as np  # noqa: F401
+
 from .errors import DescriptorError, InsufficientWindowError
 from .factorize import (
     AlphaChain,

@@ -8,8 +8,10 @@ the loops they replaced: local_periods_stream; oracle_sweep and cft_sweep
 with the helpers the sweeps use (word_matrix, local_period_matrix,
 period_column, oracle_period_matrix, first_failure); the search kernels
 occurrence_list and max_run_exponent; and max_power, which reads the hits of
-occurrence_list. Positions handed to these functions are 1-based, matching
-the library API.
+occurrence_list. local_period_matrix also serves the library:
+periods.local_period_table scans each large group of equal-length words
+with it, and a small group row by row with local_periods_finite. Positions
+handed to these functions are 1-based, matching the library API.
 """
 
 import numpy as np

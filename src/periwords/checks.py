@@ -30,13 +30,10 @@ from .factorize import (
 )
 from .periods import (
     CapExceeded,
-    critical_positions,
-    h_of,
     is_lyndon,
     is_unbordered,
     local_period_infinite,
-    local_period_sum,
-    local_periods,
+    local_period_table,
     period,
     profile,
 )
@@ -60,6 +57,9 @@ WINDOWED = "windowed-pass"
 INCONCLUSIVE = "inconclusive"
 
 DEFAULT_SEED = 90407
+# random trials drawn and scored at a time, so a trial checker's memory stays
+# bounded whatever its trial count; the default 10,000 trials are one block
+TRIAL_BLOCK = 1 << 14
 
 
 @dataclass
@@ -88,6 +88,11 @@ class VerificationReport:
 
 def _frac(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
+
+
+def _mean(lps) -> Fraction:
+    # h of a word from its row of local periods
+    return Fraction(int(lps.sum()), lps.size)
 
 
 # ---------------------------------------------------------------------------
@@ -502,9 +507,10 @@ def return_gain_step(
         raise InsufficientWindowError(
             f"only {len(fact_hi.returns)} high-level blocks, wanted {window}"
         )
-    for j in range(1, window + 1):
-        w = fact_hi.returns[j - 1]
-        parts = _constituents(fact_lo, fact_hi, j)
+    blocks = fact_hi.returns[:window]
+    constituents = [_constituents(fact_lo, fact_hi, j) for j in range(1, window + 1)]
+    table = local_period_table(blocks + [c for parts in constituents if parts for c in parts])
+    for j, (w, parts) in enumerate(zip(blocks, constituents), 1):
         report.instances += 1
         if parts is None or "".join(parts) != w:
             report.status = FAIL
@@ -517,7 +523,8 @@ def return_gain_step(
                 "z_hi": fact_hi.z,
             }
             return report
-        crit = critical_positions(w)[0]
+        # the first critical position: the first local period equal to the period
+        crit = table[w].tolist().index(period(w)) + 1
         off = 0
         ell = parts[0]
         for c in parts:
@@ -525,10 +532,10 @@ def return_gain_step(
                 ell = c
                 break
             off += len(c)
-        min_h = min(h_of(c) for c in parts)
-        lhs = local_period_sum(w)
-        rhs = sum(local_period_sum(c) for c in parts) + len(w) - len(ell)
-        hw = h_of(w)
+        min_h = min(_mean(table[c]) for c in parts)
+        lhs = int(table[w].sum())
+        rhs = sum(int(table[c].sum()) for c in parts) + len(w) - len(ell)
+        hw = Fraction(lhs, len(w))
         bound_b = min_h + 1 - Fraction(len(ell), len(w))
         row = {
             "j": j,
@@ -671,6 +678,7 @@ def check_dyadic_gain(
         )
     ratio = 2 ** (kprime - k)
     blen = 2 ** kprime
+    table = local_period_table(hi.blocks[1:window + 1] + lo.blocks[ratio:(window + 1) * ratio])
     for j in range(1, window + 1):
         z = hi.blocks[j]
         parts = lo.blocks[j * ratio:(j + 1) * ratio]
@@ -685,8 +693,8 @@ def check_dyadic_gain(
             return report
         p = period(z)
         s = blen // p
-        own_min = min(h_of(c) for c in parts)
-        hz = h_of(z)
+        own_min = min(_mean(table[c]) for c in parts)
+        hz = _mean(table[z])
         bound = own_min + Fraction(s * (p - 2 ** k), blen)
         row = {
             "j": j,
@@ -745,17 +753,21 @@ def check_factor_bound(
     report = VerificationReport(
         "factor-bound", {"trials": trials, "maxlen": maxlen, "seed": seed}, 0, PASS
     )
-    for _ in range(trials):
-        n = rng.randint(3, maxlen)
-        w = _random_word(rng, n)
-        a = rng.randint(0, n - 1)
-        b = rng.randint(a + 1, n)
-        v = w[a:b]
-        pw = local_periods(w)
-        pv = local_periods(v)
-        report.instances += 1
-        for i in range(1, len(v) + 1):
-            if pv[i - 1] > pw[a + i - 1]:
+    for start in range(0, trials, TRIAL_BLOCK):
+        drawn = []
+        for _ in range(min(TRIAL_BLOCK, trials - start)):
+            n = rng.randint(3, maxlen)
+            w = _random_word(rng, n)
+            a = rng.randint(0, n - 1)
+            b = rng.randint(a + 1, n)
+            drawn.append((w, a, w[a:b]))
+        table = local_period_table(x for w, _, v in drawn for x in (w, v))
+        for w, a, v in drawn:
+            pw, pv = table[w], table[v]
+            report.instances += 1
+            over = pv > pw[a:a + len(v)]
+            if over.any():
+                i = int(over.argmax()) + 1
                 report.status = FAIL
                 report.counterexample = {
                     "op": "local_period",
@@ -778,25 +790,28 @@ def check_superadditivity(
     report = VerificationReport(
         "superadditivity", {"trials": trials, "maxlen": maxlen, "seed": seed}, 0, PASS
     )
-    for _ in range(trials):
-        n = rng.randint(2, maxlen)
-        w = _random_word(rng, n)
-        c = rng.randint(1, n - 1)
-        s_w = local_period_sum(w)
-        s_u = local_period_sum(w[:c])
-        s_v = local_period_sum(w[c:])
-        report.instances += 1
-        if s_w < s_u + s_v:
-            report.status = FAIL
-            report.counterexample = {
-                "op": "local_period_sum",
-                "word": w,
-                "split": c,
-                "whole": s_w,
-                "left": s_u,
-                "right": s_v,
-            }
-            return report
+    for start in range(0, trials, TRIAL_BLOCK):
+        drawn = []
+        for _ in range(min(TRIAL_BLOCK, trials - start)):
+            n = rng.randint(2, maxlen)
+            w = _random_word(rng, n)
+            drawn.append((w, rng.randint(1, n - 1)))
+        words = (x for w, c in drawn for x in (w, w[:c], w[c:]))
+        sums = {x: int(lps.sum()) for x, lps in local_period_table(words).items()}
+        for w, c in drawn:
+            s_w, s_u, s_v = sums[w], sums[w[:c]], sums[w[c:]]
+            report.instances += 1
+            if s_w < s_u + s_v:
+                report.status = FAIL
+                report.counterexample = {
+                    "op": "local_period_sum",
+                    "word": w,
+                    "split": c,
+                    "whole": s_w,
+                    "left": s_u,
+                    "right": s_v,
+                }
+                return report
     return report
 
 

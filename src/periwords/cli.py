@@ -15,12 +15,13 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass, field, fields, replace
+from fractions import Fraction
 
 from . import checks
 from .checks import DEFAULT_SEED, VerificationReport
 from .errors import DescriptorError, InsufficientWindowError
 from .factorize import alpha_chain, dyadic_factorization, return_factorization
-from .periods import h_of, profile
+from .periods import local_period_table, profile
 from .words import HOLE, HolubParams, WordSource, parse_descriptor
 
 LINE = 64  # letters per text line when rendering word prefixes
@@ -346,8 +347,8 @@ def _run_factorize(cfg: ExperimentConfig) -> tuple[int, str | None]:
     p = cfg.params
     if p["mode"] == "dyadic":
         dy = dyadic_factorization(source, p["level"], p["horizon"])
-        # (index, offset, block) of every block in the csv table
-        blocks = [(j, j * dy.block_length, b) for j, b in enumerate(dy.blocks)]
+        # the csv table numbers dyadic blocks from 0 and return blocks from 1
+        blocks, first, offsets = dy.blocks, 0, range(0, dy.horizon, dy.block_length)
     else:
         if not p["z"]:
             raise ValueError("factorize needs --z for return mode")
@@ -355,12 +356,14 @@ def _run_factorize(cfg: ExperimentConfig) -> tuple[int, str | None]:
             source, p["z"], p["horizon"], exponent=p["exponent"],
             assert_block_prefix=p["alpha_power"],
         )
-        blocks = zip(range(1, len(fact.returns) + 1), fact.boundaries(), fact.returns)
+        blocks, first, offsets = fact.returns, 1, fact.boundaries()
     if cfg.format == "csv":
-        rows = []
-        for j, offset, b in blocks:
-            h = h_of(b)
-            rows.append([j, offset, len(b), h.numerator, h.denominator])
+        # length, h numerator and h denominator of each distinct block
+        cols = {}
+        for w, lps in local_period_table(blocks).items():
+            h = Fraction(int(lps.sum()), lps.size)
+            cols[w] = (len(w), h.numerator, h.denominator)
+        rows = [[j, offset, *cols[b]] for j, (offset, b) in enumerate(zip(offsets, blocks), first)]
         _emit(cfg, _csv_text(["index", "offset", "length", "h_num", "h_den"], rows))
     elif p["mode"] == "dyadic":
         _emit(cfg, _json_text(dy.to_json()))

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from . import kernels
 from .errors import InsufficientWindowError
-from .periods import h_of
+from .periods import local_period_table
 from .words import WordSource, encode
 
 
@@ -218,6 +218,11 @@ def return_factorization(
     return ReturnFactorization(z, preamble, returns, horizon, exponent)
 
 
+def _h_min(blocks: list[str]) -> Fraction:
+    # least mean local period over the distinct blocks
+    return min(Fraction(int(r.sum()), r.size) for r in local_period_table(blocks).values())
+
+
 def h_floor(fact: ReturnFactorization, window: int | None = None) -> Fraction:
     """Minimum complexity h over the first `window` return blocks (preamble excluded)."""
     blocks = fact.returns if window is None else fact.returns[:window]
@@ -227,7 +232,7 @@ def h_floor(fact: ReturnFactorization, window: int | None = None) -> Fraction:
         raise InsufficientWindowError(
             f"only {len(fact.returns)} blocks in horizon, wanted {window}"
         )
-    return min(h_of(w) for w in blocks)
+    return _h_min(blocks)
 
 
 @dataclass
@@ -277,4 +282,4 @@ def b_floor(dy: DyadicFactorization, window: int | None = None) -> Fraction:
         raise InsufficientWindowError(
             f"only {len(dy.blocks) - 1} blocks past block 0, wanted {window}"
         )
-    return min(h_of(w) for w in blocks)
+    return _h_min(blocks)

@@ -392,13 +392,10 @@ class ToeplitzSource(WordSource):
         self.filler = filler
 
     def _generate(self, n: int) -> str:
-        bp = self.base.prefix(n)
-        holes = [t for t, c in enumerate(bp) if c == HOLE]
-        fill = self.filler.prefix(len(holes))
-        out = list(bp)
-        for k, t in enumerate(holes):
-            out[t] = fill[k]
-        return "".join(out)
+        out = encode(self.base.prefix(n), allow_hole=True).copy()
+        holes = np.flatnonzero(out == ord(HOLE))
+        out[holes] = encode(self.filler.prefix(holes.size), allow_hole=True)
+        return out.tobytes().decode("ascii")
 
 
 def toeplitz_fill(base: WordSource, filler: WordSource, scan_horizon: int = 4096) -> ToeplitzSource:

@@ -1,11 +1,13 @@
 """One test cluster per claim checker: happy paths, downgrade paths, and the
 fail payloads that make counterexamples replayable."""
 
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from periwords import checks, kernels
+from periwords import checks, kernels, periods
 from periwords.checks import (
     DEFAULT_SEED,
     FAIL,
@@ -300,6 +302,106 @@ def test_trials_are_seed_deterministic():
     a = check_factor_bound(trials=50, seed=7).to_json()
     b = check_factor_bound(trials=50, seed=7).to_json()
     assert a == b
+
+
+# the per-trial loops the batched trial checkers replaced: the same draws in
+# the same RNG order, each trial scored as soon as it is drawn
+
+
+def _factor_bound_trials(trials, maxlen, seed):
+    rng = random.Random(seed)
+    for _ in range(trials):
+        n = rng.randint(3, maxlen)
+        w = "".join(rng.choice("ab") for _ in range(n))
+        a = rng.randint(0, n - 1)
+        b = rng.randint(a + 1, n)
+        yield w, a, w[a:b]
+
+
+def _superadditivity_trials(trials, maxlen, seed):
+    rng = random.Random(seed)
+    for _ in range(trials):
+        n = rng.randint(2, maxlen)
+        w = "".join(rng.choice("ab") for _ in range(n))
+        yield w, rng.randint(1, n - 1)
+
+
+def _loop_factor_bound(trials, maxlen, seed, lps):
+    instances = 0
+    for w, a, v in _factor_bound_trials(trials, maxlen, seed):
+        pw, pv = lps(w), lps(v)
+        instances += 1
+        for i in range(1, len(v) + 1):
+            if pv[i - 1] > pw[a + i - 1]:
+                return instances, {
+                    "op": "local_period", "word": w, "factor": v, "offset": a, "i": i,
+                    "factor_lp": int(pv[i - 1]), "word_lp": int(pw[a + i - 1]),
+                }
+    return instances, None
+
+
+def _loop_superadditivity(trials, maxlen, seed, lps):
+    instances = 0
+    for w, c in _superadditivity_trials(trials, maxlen, seed):
+        s_w, s_u, s_v = (int(lps(x).sum()) for x in (w, w[:c], w[c:]))
+        instances += 1
+        if s_w < s_u + s_v:
+            return instances, {
+                "op": "local_period_sum", "word": w, "split": c,
+                "whole": s_w, "left": s_u, "right": s_v,
+            }
+    return instances, None
+
+
+_TRIAL_CHECKERS = {
+    "factor-bound": (check_factor_bound, _factor_bound_trials, _loop_factor_bound),
+    "superadditivity": (check_superadditivity, _superadditivity_trials, _loop_superadditivity),
+}
+
+
+@pytest.mark.parametrize("claim", sorted(_TRIAL_CHECKERS))
+@pytest.mark.parametrize("block,trials,at", [
+    (checks.TRIAL_BLOCK, 3000, 1234),  # inside the one block of the run
+    (100, 1000, 537),  # in the sixth block of 100
+], ids=["first-block", "later-block"])
+def test_trial_checker_reports_a_planted_failure_like_the_loop(claim, block, trials, at, monkeypatch):
+    checker, draws, loop = _TRIAL_CHECKERS[claim]
+    seed, maxlen = 5, 14
+    words = [t[0] for t in draws(trials, maxlen, seed)]
+    # the first trial from `at` on whose word is new: zeroing that word's
+    # local periods makes this trial the first to fail in either claim
+    t = next(k for k in range(at, trials) if words[k] not in words[:k])
+    target = words[t]
+    real = periods.local_period_table
+
+    def planted(ws):
+        table = real(ws)
+        if target in table:
+            table[target] = np.zeros_like(table[target])
+        return table
+
+    def lps(x):
+        row = periods.local_periods(x)
+        return np.zeros_like(row) if x == target else row
+
+    monkeypatch.setattr(checks, "TRIAL_BLOCK", block)
+    monkeypatch.setattr(checks, "local_period_table", planted)
+    rep = checker(trials=trials, maxlen=maxlen, seed=seed)
+    instances, counterexample = loop(trials, maxlen, seed, lps)
+    assert instances == t + 1
+    assert rep.status == FAIL
+    assert (rep.instances, rep.counterexample) == (instances, counterexample)
+    assert counterexample["word"] == target
+
+
+@pytest.mark.parametrize("claim", sorted(_TRIAL_CHECKERS))
+@pytest.mark.parametrize("block", [checks.TRIAL_BLOCK, 64], ids=["one-block", "blocks-of-64"])
+def test_trial_checker_passes_like_the_loop(claim, block, monkeypatch):
+    checker, _, loop = _TRIAL_CHECKERS[claim]
+    monkeypatch.setattr(checks, "TRIAL_BLOCK", block)
+    rep = checker(trials=500, maxlen=14, seed=5)
+    assert (rep.status, rep.instances) == (PASS, 500)
+    assert loop(500, 14, 5, periods.local_periods) == (500, None)
 
 
 # ---------------------------------------------------------------------------

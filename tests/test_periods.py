@@ -7,13 +7,18 @@ w[max(1,i-L+1) .. min(n,i+L)] has period L (vacuously when the window is
 shorter than L+1 letters).
 """
 
+import itertools
 import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from periwords import kernels
+from periwords.factorize import dyadic_factorization, return_factorization
 from periwords.periods import (
+    MATRIX_MIN_WORDS,
     CapExceeded,
     PeriodProfile,
     critical_positions,
@@ -26,6 +31,7 @@ from periwords.periods import (
     local_period_infinite,
     local_period_oracle,
     local_period_sum,
+    local_period_table,
     local_periods,
     period,
     profile,
@@ -292,3 +298,67 @@ def test_finite_word_functions_reject_holes(fn):
 def test_default_cap_scales_with_n():
     prof = profile(fibonacci_source(), n=10)
     assert prof.cap == 4 * 10 + 64
+
+
+# ---------------------------------------------------------------------------
+# the batched table against the per-word loop
+
+
+def assert_table_matches_the_loop(words):
+    table = local_period_table(words)
+    assert set(table) == set(words)
+    for w, row in table.items():
+        assert row.dtype == np.int64
+        assert row.tolist() == local_periods(w).tolist(), w
+
+
+@pytest.mark.parametrize("letters,maxlen", [("ab", 12), ("abc", 8)], ids=["binary", "ternary"])
+def test_table_matches_the_loop_on_every_short_word(letters, maxlen):
+    words = ["".join(t) for n in range(1, maxlen + 1) for t in itertools.product(letters, repeat=n)]
+    assert_table_matches_the_loop(words)
+
+
+def test_table_matches_the_loop_on_mixed_lengths_and_duplicates():
+    rng = random.Random(SEED)
+    words = [rand_word(rng, 1, 20) for _ in range(400)]
+    words += words[:100] + ["abaab", "abaab", "a"]
+    assert_table_matches_the_loop(words)
+
+
+@pytest.mark.parametrize("count", [MATRIX_MIN_WORDS - 1, MATRIX_MIN_WORDS, MATRIX_MIN_WORDS + 1])
+def test_table_takes_the_matrix_from_the_crossover_on(count, monkeypatch):
+    calls = []
+    matrix = kernels.active.local_period_matrix
+
+    def spy(words):
+        calls.append(words.shape)
+        return matrix(words)
+
+    monkeypatch.setattr(kernels.active, "local_period_matrix", spy)
+    # count distinct words of length 10, each given twice
+    words = [format(c, "010b").replace("0", "a").replace("1", "b") for c in range(count)]
+    assert_table_matches_the_loop(words + words)
+    assert calls == ([(count, 10)] if count >= MATRIX_MIN_WORDS else [])
+
+
+@pytest.mark.parametrize("descriptor,markers", [
+    ("fibonacci", ("ab", "aba", "abaab")),
+    ("thue-morse", ("ab", "abba", "abbab")),
+    ("holub:n=2,2;tail=repeat", ("a", "ab", "abba")),
+])
+def test_table_matches_the_loop_on_factorization_blocks(descriptor, markers):
+    source = parse_descriptor(descriptor)
+    blocks = []
+    for z in markers:
+        blocks += return_factorization(source, z, 20_000).returns
+    for level in (2, 4, 6, 8):
+        blocks += dyadic_factorization(source, level, 20_000).blocks
+    assert_table_matches_the_loop(blocks)
+
+
+def test_table_rejects_holes_and_takes_empty_input():
+    with pytest.raises(ValueError, match="cannot scan a word with holes"):
+        local_period_table(["abaab", "ab?ab"])
+    with pytest.raises(ValueError, match="cannot scan a word with holes"):
+        local_period_table(["?"])
+    assert local_period_table([]) == {}

@@ -10,12 +10,14 @@ import periwords
 from periwords.errors import DescriptorError
 from periwords.words import (
     BINARY,
+    HOLE,
     HOLE_RANK,
     Alphabet,
     FormulaSource,
     HolubParams,
     MorphicSource,
     PeriodicSource,
+    ToeplitzSource,
     anchor_length,
     anchor_word,
     fibonacci_source,
@@ -232,6 +234,40 @@ def test_toeplitz_stages_determine_growing_prefixes():
         assert got == holub_word(params).prefix(span)
         # one more letter and the next hole shows
         assert holub_toeplitz(params, stage).prefix(span + 1)[-1] == "?"
+
+
+def _fill_letter_by_letter(base: str, filler: str) -> str:
+    # reference: the holes of base, left to right, get the letters of filler
+    holes = [t for t, c in enumerate(base) if c == HOLE]
+    out = list(base)
+    for k, t in enumerate(holes):
+        out[t] = filler[k]
+    return "".join(out)
+
+
+def _assert_fill_matches_the_reference(src: ToeplitzSource, n: int) -> None:
+    base = src.base.prefix(n)
+    filler = src.filler.prefix(base.count(HOLE))
+    assert src._generate(n) == _fill_letter_by_letter(base, filler)
+
+
+@pytest.mark.parametrize("params", [HolubParams((2, 2, 6)), HolubParams((2, 4, 5))],
+                         ids=["2,2,6", "2,4,5"])
+@pytest.mark.parametrize("stage", range(1, 9))
+def test_toeplitz_fill_matches_the_letter_by_letter_fill(params, stage):
+    src = holub_toeplitz(params, stage)
+    for n in (1, 7, 1000, 20_000):
+        _assert_fill_matches_the_reference(src, n)
+
+
+def test_toeplitz_fill_with_a_holed_filler_and_a_prefix_ending_in_a_hole():
+    src = ToeplitzSource(PeriodicSource("ab??b?"), PeriodicSource("?ba"))
+    assert src.has_holes
+    # prefixes of the base ending in a hole, in a letter, and one of holes only
+    for n in (3, 4, 6, 7, 600, 601, 1002):
+        _assert_fill_matches_the_reference(src, n)
+    assert src._generate(6) == "ab?bba"
+    assert ToeplitzSource(hole_source(), PeriodicSource("ab"))._generate(5) == "ababa"
 
 
 # ---------------------------------------------------------------------------
