@@ -429,10 +429,8 @@ def check_lexmin_return_words(
         a, e = entry.alpha, entry.exponent
         z = a * e
         row = {"k": k, "alpha": a, "exponent": e}
-        lexmin = min(
-            (text[t:t + len(a)] for t in range(len(text) - len(a) + 1)),
-            key=alphabet.sort_key,
-        )
+        windows = dict.fromkeys(text[t:t + len(a)] for t in range(len(text) - len(a) + 1))
+        lexmin = min(windows, key=alphabet.sort_key)
         rws, _ = return_words(z, source, horizon)
         not_lyndon = [w for w in rws if not is_lyndon(w, alphabet)]
         bordered = [w for w in rws if not is_unbordered(w)]

@@ -21,7 +21,7 @@ from . import checks
 from .checks import DEFAULT_SEED, VerificationReport
 from .errors import DescriptorError, InsufficientWindowError
 from .factorize import alpha_chain, dyadic_factorization, return_factorization
-from .periods import local_period_table, profile
+from .periods import PeriodProfile, local_period_table, profile
 from .words import HOLE, HolubParams, WordSource, parse_descriptor
 
 LINE = 64  # letters per text line when rendering word prefixes
@@ -269,6 +269,45 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
+# _json_text(prof.to_json()) row by row: keys sorted, h_approx as float.__repr__
+_PROFILE_JSON_ROW = (
+    '    {\n      "h_approx": %r,\n      "h_denominator": %d,\n      "h_numerator": %d,\n'
+    '      "index": %d,\n      "local_period": %d\n    }'
+)
+_PROFILE_JSON_CAPPED = (
+    '    {\n      "h_approx": null,\n      "h_denominator": null,\n      "h_numerator": null,\n'
+    '      "index": %d,\n      "local_period": %s\n    }'
+)
+
+
+def _profile_columns(prof: PeriodProfile) -> tuple:
+    """(i, p(i), h numerator, h denominator) up to the first cap hit, then (i, p(i))."""
+    nums, dens = prof.columns()
+    live = len(nums)
+    return (zip(range(1, live + 1), prof.local_periods, nums, dens),
+            enumerate(prof.local_periods[live:], live + 1))
+
+
+def _profile_json(prof: PeriodProfile) -> str:
+    live, capped = _profile_columns(prof)
+    rows = [_PROFILE_JSON_ROW % (a / b, b, a, i, p) for i, p, a, b in live]
+    rows += [_PROFILE_JSON_CAPPED % (i, '"CAP"' if p is None else p) for i, p in capped]
+    head = (f'{{\n  "cap": {json.dumps(prof.cap)},\n  "descriptor": {json.dumps(prof.descriptor)},\n'
+            f'  "n": {json.dumps(prof.n)},\n  "rows": ')
+    if not rows:
+        return head + "[]\n}\n"
+    return head + "[\n" + ",\n".join(rows) + "\n  ]\n}\n"
+
+
+def _profile_csv(prof: PeriodProfile) -> str:
+    # csv.writer writes a float with repr and None as an empty cell; no cell needs quotes
+    live, capped = _profile_columns(prof)
+    lines = ["index,local_period,h_numerator,h_denominator,h_approx\n"]
+    lines += ["%d,%d,%d,%d,%r\n" % (i, p, a, b, a / b) for i, p, a, b in live]
+    lines += ["%d,%s,,,\n" % (i, "CAP" if p is None else p) for i, p in capped]
+    return "".join(lines)
+
+
 def _ruler(letters: str, start: int = 1) -> str:
     lines = []
     for t in range(0, len(letters), LINE):
@@ -325,19 +364,14 @@ def _run_profile(cfg: ExperimentConfig) -> tuple[int, str | None]:
         source = parse_descriptor(cfg.word or "")
         prof = profile(source, n=cfg.params["n"], cap=cfg.params["cap"])
     if cfg.format == "json":
-        _emit(cfg, _json_text(prof.to_json()))
+        _emit(cfg, _profile_json(prof))
     elif cfg.format == "csv":
-        rows = [
-            [r["index"], r["local_period"], r["h_numerator"], r["h_denominator"], r["h_approx"]]
-            for r in prof.rows()
-        ]
-        _emit(cfg, _csv_text(
-            ["index", "local_period", "h_numerator", "h_denominator", "h_approx"], rows))
+        _emit(cfg, _profile_csv(prof))
     else:
         body = [f"subject: {prof.descriptor}", f"{'i':>6} {'p(i)':>8} {'h(i)':>12}"]
-        for r in prof.rows():
-            h = "-" if r["h_numerator"] is None else f"{r['h_numerator']}/{r['h_denominator']}"
-            body.append(f"{r['index']:>6} {str(r['local_period']):>8} {h:>12}")
+        live, capped = _profile_columns(prof)
+        body += [f"{i:>6} {p:>8} {f'{a}/{b}':>12}" for i, p, a, b in live]
+        body += [f"{i:>6} {'CAP' if p is None else p:>8} {'-':>12}" for i, p in capped]
         _emit(cfg, "\n".join(body) + "\n")
     return 0, None
 
@@ -358,13 +392,15 @@ def _run_factorize(cfg: ExperimentConfig) -> tuple[int, str | None]:
         )
         blocks, first, offsets = fact.returns, 1, fact.boundaries()
     if cfg.format == "csv":
-        # length, h numerator and h denominator of each distinct block
-        cols = {}
+        # the "length,h_num,h_den" cells of each distinct block, rendered once
+        cells = {}
         for w, lps in local_period_table(blocks).items():
             h = Fraction(int(lps.sum()), lps.size)
-            cols[w] = (len(w), h.numerator, h.denominator)
-        rows = [[j, offset, *cols[b]] for j, (offset, b) in enumerate(zip(offsets, blocks), first)]
-        _emit(cfg, _csv_text(["index", "offset", "length", "h_num", "h_den"], rows))
+            cells[w] = f"{len(w)},{h.numerator},{h.denominator}"
+        lines = ["index,offset,length,h_num,h_den\n"]
+        lines += [f"{j},{offset},{cells[b]}\n"
+                  for j, (offset, b) in enumerate(zip(offsets, blocks), first)]
+        _emit(cfg, "".join(lines))
     elif p["mode"] == "dyadic":
         _emit(cfg, _json_text(dy.to_json()))
     elif cfg.format == "json":

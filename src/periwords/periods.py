@@ -202,17 +202,24 @@ class PeriodProfile:
         sums = self._prefix_sums()
         return Fraction(int(sums[i - 1]), i) if i <= len(sums) else None
 
+    def columns(self) -> tuple[list[int], list[int]]:
+        """Reduced numerators and denominators of h(1), h(2), ... as Python ints.
+
+        The lists stop before the first cap hit. h(i) is reduced with np.gcd
+        instead of through one Fraction per position.
+        """
+        sums = self._prefix_sums()
+        index = np.arange(1, len(sums) + 1).astype(sums.dtype)
+        g = np.gcd(sums, index)
+        return (sums // g).tolist(), (index // g).tolist()
+
     def rows(self) -> list[dict]:
         """One dict per position, rationals split into numerator/denominator.
 
-        h(i) is reduced with np.gcd instead of through one Fraction per row;
         float(Fraction) divides the reduced ints, so h_approx is the same float.
         """
-        sums = self._prefix_sums()
-        live = len(sums)
-        index = np.arange(1, live + 1).astype(sums.dtype)
-        g = np.gcd(sums, index)
-        nums, dens = (sums // g).tolist(), (index // g).tolist()
+        nums, dens = self.columns()
+        live = len(nums)
         out = [
             {"index": i, "local_period": p, "h_numerator": a, "h_denominator": b, "h_approx": a / b}
             for i, p, a, b in zip(range(1, live + 1), self.local_periods, nums, dens)
@@ -241,8 +248,9 @@ class PeriodProfile:
 def profile(subject, n: int | None = None, cap: int | None = None) -> PeriodProfile:
     """Local periods at every position of a finite word or a source prefix.
 
-    For a WordSource, n is required and cap defaults to 4n + 64.  Words with
-    holes are rejected: a hole would be matched as a letter of its own.
+    For a WordSource, n >= 0 is required and cap >= 1 defaults to 4n + 64.
+    Words with holes are rejected: a hole would be matched as a letter of its
+    own.
     """
     if isinstance(subject, str):
         if not subject:
@@ -251,6 +259,10 @@ def profile(subject, n: int | None = None, cap: int | None = None) -> PeriodProf
         return PeriodProfile(subject, [int(v) for v in lps], cap=None)
     if n is None:
         raise ValueError("need n for an infinite word")
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    if cap is not None and cap < 1:
+        raise ValueError(f"cap must be >= 1, got {cap}")
     if subject.has_holes:
         raise ValueError(f"cannot profile {subject.descriptor}: it has holes ({HOLE!r})")
     if cap is None:

@@ -5,9 +5,25 @@ import os
 import stat
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from periwords import checks
-from periwords.cli import CLAIMS, DEFAULT_SEED, ExperimentConfig, _build_parser, main, run, run_batch
+from periwords.cli import (
+    CLAIMS,
+    DEFAULT_SEED,
+    ExperimentConfig,
+    _build_parser,
+    _csv_text,
+    _profile_csv,
+    _profile_json,
+    main,
+    run,
+    run_batch,
+)
+from periwords.factorize import dyadic_factorization, return_factorization
+from periwords.periods import PeriodProfile, h_of
+from periwords.words import parse_descriptor
 
 HOLUB = "holub:n=2,2;tail=repeat"
 
@@ -115,6 +131,18 @@ def test_words_with_holes_are_a_parameter_error(argv, capsys):
     assert capsys.readouterr().err.startswith("parameter error:")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["profile", "--word", "fibonacci", "--n", "4", "--cap", "0"], "cap must be >= 1, got 0"),
+    (["profile", "--word", "fibonacci", "--n", "4", "--cap", "-2"], "cap must be >= 1, got -2"),
+    (["report", "--word", "fibonacci", "--cap", "0"], "cap must be >= 1, got 0"),
+    (["profile", "--word", "fibonacci", "--n", "-3"], "n must be >= 0, got -3"),
+])
+def test_profile_n_and_cap_out_of_range_are_parameter_errors(argv, message, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"parameter error: {message}\n"
+
+
 def test_non_ascii_letter_is_a_parameter_error(capsys):
     assert main(["profile", "--text", "xé"]) == 1
     err = capsys.readouterr().err
@@ -204,6 +232,57 @@ def test_report_csv(capsys):
     lines = out_of(capsys).strip().splitlines()
     assert lines[0] == "i,h_numerator,h_denominator,h_approx,capped"
     assert len(lines) == 4
+
+
+# ---------------------------------------------------------------------------
+# the row-template renderers against the json.dumps and csv.writer routes
+
+
+_PROFILE_HEADER = ["index", "local_period", "h_numerator", "h_denominator", "h_approx"]
+
+
+@st.composite
+def _period_profiles(draw):
+    # totals past 2**63 take the object-dtype sums; None is a cap hit
+    top = draw(st.sampled_from([9, 2 ** 40, 2 ** 62]))
+    lps = draw(st.lists(st.integers(1, top), max_size=30))
+    holes = draw(st.sets(st.integers(0, 29), max_size=3))
+    lps = [None if i in holes else p for i, p in enumerate(lps)]
+    descriptor = draw(st.text(st.sampled_from('ab"\\:=;,\né'), min_size=1, max_size=12))
+    cap = draw(st.none() | st.integers(1, 2 ** 62))
+    return PeriodProfile(descriptor, lps, cap=cap)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_period_profiles())
+@example(PeriodProfile('a"\\b', [], cap=None))
+@example(PeriodProfile("x", [3], cap=4))
+@example(PeriodProfile("x", [None], cap=1))
+@example(PeriodProfile("x", [2 ** 62, 2 ** 62, 3, None, 5], cap=None))
+def test_profile_renderers_match_json_dumps_and_csv_writer(prof):
+    assert _profile_json(prof) == json.dumps(prof.to_json(), sort_keys=True, indent=2) + "\n"
+    rows = [[r[k] for k in _PROFILE_HEADER] for r in prof.rows()]
+    assert _profile_csv(prof) == _csv_text(_PROFILE_HEADER, rows)
+
+
+def _block_csv(blocks, offsets, first):
+    rows = []
+    for j, (offset, b) in enumerate(zip(offsets, blocks), first):
+        h = h_of(b)
+        rows.append([j, offset, len(b), h.numerator, h.denominator])
+    return _csv_text(["index", "offset", "length", "h_num", "h_den"], rows)
+
+
+def test_factorize_csv_matches_the_csv_writer_route(capsys):
+    fact = return_factorization(parse_descriptor("fibonacci"), "aab", 3000)
+    assert main(["factorize", "--word", "fibonacci", "--z", "aab", "--horizon", "3000",
+                 "--format", "csv"]) == 0
+    assert out_of(capsys) == _block_csv(fact.returns, fact.boundaries(), 1)
+    dy = dyadic_factorization(parse_descriptor("thue-morse"), 3, 1024)
+    assert main(["factorize", "--word", "thue-morse", "--mode", "dyadic", "--level", "3",
+                 "--horizon", "1024", "--format", "csv"]) == 0
+    offsets = range(0, dy.horizon, dy.block_length)
+    assert out_of(capsys) == _block_csv(dy.blocks, offsets, 0)
 
 
 def test_flag_aliases_share_dest(capsys):

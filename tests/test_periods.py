@@ -260,6 +260,23 @@ def test_profile_argument_errors():
         profile(fibonacci_source())  # needs n
     with pytest.raises(ValueError):
         profile("abaab").h_at(6)
+    with pytest.raises(ValueError, match="n must be >= 0, got -3"):
+        profile(fibonacci_source(), n=-3)
+    for cap in (0, -2):
+        with pytest.raises(ValueError, match=f"cap must be >= 1, got {cap}"):
+            profile(fibonacci_source(), n=4, cap=cap)
+    assert profile(fibonacci_source(), n=0).rows() == []
+
+
+def test_profile_columns_are_the_reduced_h_values():
+    prof = PeriodProfile("x", [2 ** 62, 2 ** 62, 3, None, 5])
+    nums, dens = prof.columns()
+    assert [Fraction(a, b) for a, b in zip(nums, dens)] == prof.h_values()[:3]
+    assert all(type(v) is int for v in nums + dens)
+    prof = profile(fibonacci_source(), n=300)
+    nums, dens = prof.columns()
+    assert list(zip(nums, dens)) == [(h.numerator, h.denominator) for h in prof.h_values()]
+    assert all(type(v) is int for v in nums + dens)
 
 
 def test_profile_rejects_holes():
