@@ -74,6 +74,18 @@ class VerificationReport:
     notes: str = ""
     details: list = field(default_factory=list)
 
+    def fail(self, counterexample: dict) -> None:
+        """Mark the claim refuted; the first counterexample found is the one kept."""
+        self.status = FAIL
+        if self.counterexample is None:
+            self.counterexample = counterexample
+
+    def undecided(self, note: str) -> None:
+        """Mark the claim undecided, unless it already failed; notes collect every reason."""
+        if self.status != FAIL:
+            self.status = INCONCLUSIVE
+        self.notes = "; ".join(filter(None, (self.notes, note)))
+
     def to_json(self) -> dict:
         return {
             "claim": self.claim,
@@ -121,20 +133,17 @@ def check_peak_periods(params: HolubParams, depth: int = 3, cap: int | None = No
         if isinstance(got, CapExceeded):
             if use_cap < expected:
                 row["outcome"] = "cap below prediction"
-                if report.status == PASS:
-                    report.status = INCONCLUSIVE
-                    report.notes = f"cap {use_cap} < predicted {expected} at level {j}"
+                report.undecided(f"cap {use_cap} < predicted {expected} at level {j}")
                 report.details.append(row)
                 continue
-            report.status = FAIL
-            report.counterexample = report.counterexample or {
+            report.fail({
                 "op": "local_period_infinite",
                 "word": source.descriptor,
                 "position": d,
                 "cap": use_cap,
                 "expected": expected,
                 "actual": f"> {use_cap}",
-            }
+            })
             row["outcome"] = f"local period exceeds {use_cap}"
             report.details.append(row)
             continue
@@ -147,8 +156,7 @@ def check_peak_periods(params: HolubParams, depth: int = 3, cap: int | None = No
         ok = got.length == expected and got.word == pred_r and row["sharp"]
         row["outcome"] = "ok" if ok else "mismatch"
         if not ok:
-            report.status = FAIL
-            report.counterexample = report.counterexample or {
+            report.fail({
                 "op": "local_period_infinite",
                 "word": source.descriptor,
                 "position": d,
@@ -157,7 +165,7 @@ def check_peak_periods(params: HolubParams, depth: int = 3, cap: int | None = No
                 "actual": got.length,
                 "expected_witness": pred_r,
                 "actual_witness": got.word,
-            }
+            })
         report.details.append(row)
     return report
 
@@ -180,8 +188,7 @@ def check_peak_witness(params: HolubParams, depth: int = 3) -> VerificationRepor
         try:
             pred = predicted_witness(params, j)
         except ValueError as e:
-            report.status = FAIL
-            report.counterexample = {"op": "predicted_witness", "j": j, "error": str(e)}
+            report.fail({"op": "predicted_witness", "j": j, "error": str(e)})
             break
         got = local_period_infinite(source, d, expected_len + 1)
         row = {"j": j, "position": d, "length": expected_len, "witness": pred}
@@ -193,15 +200,14 @@ def check_peak_witness(params: HolubParams, depth: int = 3) -> VerificationRepor
         )
         row["outcome"] = "ok" if ok else "mismatch"
         if not ok:
-            report.status = FAIL
-            report.counterexample = report.counterexample or {
+            report.fail({
                 "op": "local_period_infinite",
                 "word": source.descriptor,
                 "position": d,
                 "cap": expected_len + 1,
                 "expected_witness": pred,
                 "actual": "cap-exceeded" if isinstance(got, CapExceeded) else got.word,
-            }
+            })
         report.details.append(row)
     return report
 
@@ -227,15 +233,14 @@ def check_block_closure(params: HolubParams, depth: int = 4) -> VerificationRepo
                     break
                 decode.append(chunk[-1])
             if not ok:
-                report.status = FAIL
-                report.counterexample = report.counterexample or {
+                report.fail({
                     "op": "check_block_closure",
                     "i": i,
                     "word": w,
                     "offset": t,
                     "chunk": w[t:t + step],
                     "expected_blocks": sorted(blocks),
-                }
+                })
                 continue
             report.details.append({"i": i, "last": last, "decode": "".join(decode)})
     return report
@@ -262,14 +267,13 @@ def check_occurrence_rigidity(
         report.instances += len(occ)
         bad = [o for o in occ if o % (len(u) + 1) != 0]
         if bad:
-            report.status = FAIL
-            report.counterexample = {
+            report.fail({
                 "op": "occurrences",
                 "word": source.descriptor,
                 "factor_level": i,
                 "offset": bad[0],
                 "modulus": len(u) + 1,
-            }
+            })
         report.details.append(
             {"i": i, "count": len(occ), "modulus": len(u) + 1, "violations": len(bad)}
         )
@@ -286,14 +290,13 @@ def check_letter_formula(params: HolubParams, n: int = 10_000) -> VerificationRe
     formula = holub_letters(params, n)
     if formula != recursion:
         i = next(t for t in range(n) if formula[t] != recursion[t]) + 1
-        report.status = FAIL
-        report.counterexample = {
+        report.fail({
             "op": "holub_letter",
             "word": source.descriptor,
             "position": i,
             "expected": recursion[i - 1],
             "actual": holub_letter(params, i),
-        }
+        })
     return report
 
 
@@ -321,24 +324,22 @@ def check_toeplitz_stages(
         PASS,
     )
     if HOLE in got:
-        report.status = FAIL
-        report.counterexample = {
+        report.fail({
             "op": "holub_toeplitz",
             "stage": stage,
             "position": got.index(HOLE) + 1,
             "error": "hole inside the supposedly determined prefix",
-        }
+        })
         return report
     if got != want:
         k = next(t for t in range(span) if got[t] != want[t])
-        report.status = FAIL
-        report.counterexample = {
+        report.fail({
             "op": "holub_toeplitz",
             "stage": stage,
             "position": k + 1,
             "expected": want[k],
             "actual": got[k],
-        }
+        })
     return report
 
 
@@ -378,15 +379,14 @@ def check_return_time_bound(
             worst = max(worst, gap)
             report.instances += 1
             if gap > bound:
-                report.status = FAIL
-                report.counterexample = report.counterexample or {
+                report.fail({
                     "op": "occurrences",
                     "word": source.descriptor,
                     "factor": z,
                     "max_gap": gap,
                     "bound": bound,
                     "horizon": hz,
-                }
+                })
         report.details.append(
             {"i": i, "factors": len(factors), "bound": bound, "max_gap_seen": worst}
         )
@@ -445,8 +445,7 @@ def check_lexmin_return_words(
         )
         report.instances += len(rws) + 1
         if lexmin != a or not_lyndon or bordered or no_prefix or not nest_ok:
-            report.status = FAIL
-            report.counterexample = report.counterexample or {
+            report.fail({
                 "op": "alpha_chain",
                 "word": source.descriptor,
                 "k": k,
@@ -456,7 +455,7 @@ def check_lexmin_return_words(
                 "bordered": bordered[:3],
                 "missing_power_prefix": no_prefix[:3],
                 "nested": nest_ok,
-            }
+            })
         report.details.append(row)
     return report
 
@@ -493,14 +492,13 @@ def return_gain_step(
     asserted when the windowed length condition holds, and the report says
     which case applied.
     """
-    report = VerificationReport(claim, params or {}, 0, WINDOWED)
     m_lo = fact_lo.max_return_time
     mu_hi = fact_hi.min_return_length
     condition = mu_hi > 2 * m_lo
-    report.notes = (
+    report = VerificationReport(claim, params or {}, 0, WINDOWED, notes=(
         f"windowed m_lo={m_lo}, mu_hi={mu_hi}; length condition "
         f"{'holds' if condition else 'FAILS'} in this window"
-    )
+    ))
     if len(fact_hi.returns) < window:
         raise InsufficientWindowError(
             f"only {len(fact_hi.returns)} high-level blocks, wanted {window}"
@@ -511,15 +509,14 @@ def return_gain_step(
     for j, (w, parts) in enumerate(zip(blocks, constituents), 1):
         report.instances += 1
         if parts is None or "".join(parts) != w:
-            report.status = FAIL
-            report.counterexample = {
+            report.fail({
                 "op": "return_gain_step",
                 "j": j,
                 "block": w,
                 "error": "high-level block boundaries do not refine low-level ones",
                 "z_lo": fact_lo.z,
                 "z_hi": fact_hi.z,
-            }
+            })
             return report
         # the first critical position: the first local period equal to the period
         crit = table[w].tolist().index(period(w)) + 1
@@ -551,8 +548,7 @@ def return_gain_step(
         if condition:
             ok = ok and hw >= min_h + Fraction(1, 2)
         if not ok:
-            report.status = FAIL
-            report.counterexample = {
+            report.fail({
                 "op": "return_gain_step",
                 "j": j,
                 "block": w,
@@ -562,11 +558,10 @@ def return_gain_step(
                 "h": _frac(hw),
                 "h_bound": _frac(bound_b),
                 "half_gain_required": condition,
-            }
+            })
         report.details.append(row)
-    if report.status == WINDOWED and not condition:
-        report.status = INCONCLUSIVE
-        report.notes += "; +1/2 corollary not asserted, pick a higher level"
+    if not condition:
+        report.undecided("+1/2 corollary not asserted, pick a higher level")
     return report
 
 
@@ -660,13 +655,10 @@ def check_dyadic_gain(
     }
     certified = repetition_bound is not None
     e = repetition_bound if certified else repetition_exponent_estimate(source, horizon)
-    report = VerificationReport("dyadic-gain", params, 0, WINDOWED)
-    report.notes = f"e={e} ({'certified' if certified else 'windowed estimate'})"
+    report = VerificationReport("dyadic-gain", params, 0, WINDOWED,
+                                notes=f"e={e} ({'certified' if certified else 'windowed estimate'})")
     if 2 ** kprime < e * 2 ** (k + 1):
-        report.status = INCONCLUSIVE
-        report.notes += (
-            f"; 2^{kprime} < {e} * 2^{k + 1}, level gap too small for this exponent"
-        )
+        report.undecided(f"2^{kprime} < {e} * 2^{k + 1}, level gap too small for this exponent")
         return report
     hi = dyadic_factorization(source, kprime, horizon)
     lo = dyadic_factorization(source, k, horizon)
@@ -682,12 +674,11 @@ def check_dyadic_gain(
         parts = lo.blocks[j * ratio:(j + 1) * ratio]
         report.instances += 1
         if "".join(parts) != z:
-            report.status = FAIL
-            report.counterexample = {
+            report.fail({
                 "op": "dyadic_factorization",
                 "j": j,
                 "error": "tiling identity violated",
-            }
+            })
             return report
         p = period(z)
         s = blen // p
@@ -721,12 +712,9 @@ def check_dyadic_gain(
             # lean on e, and an undershot estimate voids the preconditions
             # rather than refuting anything
             if certified or not count_ok:
-                report.status = FAIL
-                report.counterexample = report.counterexample or payload
+                report.fail(payload)
             else:
-                if report.status != FAIL:
-                    report.status = INCONCLUSIVE
-                report.notes += f"; block {j} misses a bound under the estimated exponent"
+                report.undecided(f"block {j} misses a bound under the estimated exponent")
             row["outcome"] = "violation"
         report.details.append(row)
     return report
@@ -766,8 +754,7 @@ def check_factor_bound(
             over = pv > pw[a:a + len(v)]
             if over.any():
                 i = int(over.argmax()) + 1
-                report.status = FAIL
-                report.counterexample = {
+                report.fail({
                     "op": "local_period",
                     "word": w,
                     "factor": v,
@@ -775,7 +762,7 @@ def check_factor_bound(
                     "i": i,
                     "factor_lp": int(pv[i - 1]),
                     "word_lp": int(pw[a + i - 1]),
-                }
+                })
                 return report
     return report
 
@@ -800,15 +787,14 @@ def check_superadditivity(
             s_w, s_u, s_v = sums[w], sums[w[:c]], sums[w[c:]]
             report.instances += 1
             if s_w < s_u + s_v:
-                report.status = FAIL
-                report.counterexample = {
+                report.fail({
                     "op": "local_period_sum",
                     "word": w,
                     "split": c,
                     "whole": s_w,
                     "left": s_u,
                     "right": s_v,
-                }
+                })
                 return report
     return report
 
@@ -830,15 +816,15 @@ def check_critical_exhaustive(alphabet_size: int = 2, maxlen: int = 12) -> Verif
         "critical-exhaustive",
         {"alphabet_size": alphabet_size, "maxlen": maxlen},
         words,
-        PASS if failures == 0 else FAIL,
+        PASS,
     )
     if failures:
         letters = "abc"[:alphabet_size]
-        report.counterexample = {
+        report.fail({
             "op": "critical_positions",
             "word": _decode_word(bad_n, bad_code, letters),
             "failures": failures,
-        }
+        })
     return report
 
 
@@ -856,18 +842,18 @@ def check_oracle_equivalence(alphabet_size: int = 2, maxlen: int = 12) -> Verifi
         "oracle-equivalence",
         {"alphabet_size": alphabet_size, "maxlen": maxlen},
         checks,
-        PASS if mismatches == 0 and cft_fails == 0 else FAIL,
+        PASS,
+        notes=f"{checks} position checks",
     )
-    report.notes = f"{checks} position checks"
-    if report.status == FAIL:
+    if mismatches or cft_fails:
         letters = "abc"[:alphabet_size]
-        report.counterexample = {
+        report.fail({
             "op": "local_period_oracle",
             "word": _decode_word(bad_n, bad_code, letters) if bad_n >= 0 else None,
             "position": bad_i,
             "mismatches": mismatches,
             "cft_failures": cft_fails,
-        }
+        })
     return report
 
 
@@ -901,8 +887,8 @@ def divergence_report(
         },
         len(pts),
         WINDOWED,
+        notes="empirical trend over a finite window; not evidence of a limit",
     )
-    report.notes = "empirical trend over a finite window; not evidence of a limit"
     rows = []
     for i in pts:
         h = prof.h_at(i)
@@ -917,21 +903,19 @@ def divergence_report(
         )
     report.details = rows
     if any(r["capped"] for r in rows):
-        report.status = INCONCLUSIVE
-        report.notes += "; some checkpoints hit the scan cap"
+        report.undecided("some checkpoints hit the scan cap")
         return report
     trend = [(r["i"], Fraction(r["h_numerator"], r["h_denominator"])) for r in rows if r["i"] >= trend_from]
     for (i1, h1), (i2, h2) in zip(trend, trend[1:]):
         if h2 < h1:
-            report.status = FAIL
-            report.counterexample = {
+            report.fail({
                 "op": "profile",
                 "word": source.descriptor,
                 "from": i1,
                 "to": i2,
                 "h_from": _frac(h1),
                 "h_to": _frac(h2),
-            }
+            })
             break
     return report
 
@@ -958,20 +942,18 @@ def check_peak_average(params: HolubParams, depth: int = 3, cap: int | None = No
         p = prof.local_periods[d - 1]
         report.instances += 1
         if h is None or p is None:
-            report.status = INCONCLUSIVE
-            report.notes = f"scan cap {use_cap} hit before anchor {j}"
+            report.undecided(f"scan cap {use_cap} hit before anchor {j}")
             continue
         bound = Fraction(p, d)
         row = {"j": j, "position": d, "h": _frac(h), "peak_over_d": _frac(bound), "strict": h > bound}
         if not h > bound:
-            report.status = FAIL
-            report.counterexample = report.counterexample or {
+            report.fail({
                 "op": "profile",
                 "word": source.descriptor,
                 "position": d,
                 "h": _frac(h),
                 "bound": _frac(bound),
                 "claimed": "h strictly greater",
-            }
+            })
         report.details.append(row)
     return report

@@ -162,8 +162,7 @@ class ClaimSpec:
         """Run the checker; a pass that checked no instance decides nothing."""
         rep = self._check(params, source)
         if rep.status in (checks.PASS, checks.WINDOWED) and rep.instances == 0:
-            rep.status = checks.INCONCLUSIVE
-            rep.notes = "; ".join(filter(None, (rep.notes, "no instance was checked")))
+            rep.undecided("no instance was checked")
         return rep
 
     def _check(self, params: dict, source: WordSource | None) -> VerificationReport:
@@ -332,12 +331,9 @@ def _report_text(rep: VerificationReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _status_exit(status: str) -> int:
-    if status == checks.FAIL:
-        return 2
-    if status == checks.INCONCLUSIVE:
-        return 3
-    return 0
+# exit code of each outcome that is not a pass, in order of priority: a batch
+# exits with the code of the first outcome any of its runs produced
+_EXIT = {checks.FAIL: 2, "error": 1, checks.INCONCLUSIVE: 3}
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +450,7 @@ def _run_verify(cfg: ExperimentConfig) -> tuple[int, str | None]:
             f"warning: claim {rep.claim!r} verified over a finite window only",
             file=sys.stderr,
         )
-    return _status_exit(rep.status), rep.status
+    return _EXIT.get(rep.status, 0), rep.status
 
 
 def _run_report(cfg: ExperimentConfig) -> tuple[int, str | None]:
@@ -472,7 +468,7 @@ def _run_report(cfg: ExperimentConfig) -> tuple[int, str | None]:
         _emit(cfg, _report_text(rep))
     if rep.status == checks.WINDOWED:
         print("warning: trend observed over a finite window only", file=sys.stderr)
-    return _status_exit(rep.status), rep.status
+    return _EXIT.get(rep.status, 0), rep.status
 
 
 _RUNNERS = {
@@ -505,7 +501,6 @@ def run_batch(config_path: str, out_dir: str) -> int:
         raise ValueError("batch config needs a top-level 'runs' list")
     os.makedirs(out_dir, exist_ok=True)
     summary = []
-    statuses = []
     for idx, entry in enumerate(runs):
         named = entry if isinstance(entry, dict) else {}
         row = {"index": idx, "action": named.get("action"), "word": named.get("word"),
@@ -522,15 +517,9 @@ def run_batch(config_path: str, out_dir: str) -> int:
             row["status"] = "error"
             row["error"] = f"{type(e).__name__}: {e}"
         summary.append(row)
-        statuses.append(row["status"])
     _atomic_write(os.path.join(out_dir, "summary.json"), _json_text({"runs": summary}))
-    if any(s == "fail" for s in statuses):
-        return 2
-    if any(s == "error" for s in statuses):
-        return 1
-    if any(s == "inconclusive" for s in statuses):
-        return 3
-    return 0
+    statuses = {row["status"] for row in summary}
+    return next((code for status, code in _EXIT.items() if status in statuses), 0)
 
 
 # ---------------------------------------------------------------------------

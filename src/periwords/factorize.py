@@ -12,7 +12,7 @@ from fractions import Fraction
 from . import kernels
 from .errors import InsufficientWindowError
 from .periods import local_period_table
-from .words import WordSource, encode
+from .words import HOLE, WordSource, encode
 
 
 def _horizon(horizon: int | None) -> int:
@@ -125,6 +125,9 @@ def alpha_chain(
     word), the windowed exponents are treated as exact; a windowed exponent
     above the bound is a contradiction and raises.
     """
+    if source.has_holes:
+        raise ValueError(f"cannot build an alpha chain on {source.descriptor}: "
+                         f"it has holes ({HOLE!r})")
     if depth < 1:
         raise ValueError("depth must be >= 1")
     entries = []

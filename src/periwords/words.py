@@ -311,11 +311,13 @@ class HolubSource(WordSource):
         self.params = params
 
     def _generate(self, n: int) -> str:
+        # a stage past n letters is cut after the copies of u_(j-1) b that
+        # reach n; what is left is still a prefix of u_j
         u = ""
         j = 0
         while len(u) < n:
             j += 1
-            u = u + "a" + (u + "b") * self.params.n(j) + u
+            u = u + "a" + (u + "b") * min(self.params.n(j), -(-n // (len(u) + 1))) + u
         return u
 
 

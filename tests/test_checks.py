@@ -1,8 +1,10 @@
 """One test cluster per claim checker: happy paths, downgrade paths, and the
 fail payloads that make counterexamples replayable."""
 
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -497,7 +499,55 @@ def test_fail_reports_always_carry_payload():
         ),
         check_dyadic_gain(PeriodicSource("ab"), k=1, kprime=4, repetition_bound=2),
         check_peak_average(P22, depth=1),
+        # the anchor-1 counterexample, then a cap hit at anchors 2 and 3
+        check_peak_average(P22, depth=3, cap=3),
     ]
     for rep in failing:
         assert rep.status == FAIL
         assert rep.counterexample and "op" in rep.counterexample
+    # and conversely: a report that carries a counterexample has failed
+    others = [
+        check_letter_formula(P22, n=50),
+        check_occurrence_rigidity(P22, depth=2, horizon=500),
+        check_dyadic_gain(TM, k=1, kprime=2, repetition_bound=2),
+        check_peak_periods(P22, depth=2, cap=3),
+    ]
+    for rep in failing + others:
+        assert (rep.counterexample is not None) == (rep.status == FAIL), rep.claim
+
+
+def test_report_keeps_its_first_counterexample_and_every_note():
+    rep = checks.VerificationReport("x", {}, 0, WINDOWED)
+    rep.undecided("cap too small")
+    rep.fail({"op": "first"})
+    rep.fail({"op": "second"})
+    rep.undecided("window too short")
+    assert rep.status == FAIL and rep.counterexample == {"op": "first"}
+    assert rep.notes == "cap too small; window too short"
+
+
+def test_occurrence_rigidity_reports_its_first_misaligned_level(monkeypatch):
+    # offset 1 is misaligned at every level: modulus 4 at level 1, 16 at level 2
+    monkeypatch.setattr(checks, "occurrences", lambda u, source, horizon: [0, 1])
+    rep = check_occurrence_rigidity(P22, depth=2, horizon=100)
+    assert rep.status == FAIL
+    assert rep.counterexample["factor_level"] == 1 and rep.counterexample["offset"] == 1
+    assert [row["violations"] for row in rep.details] == [1, 1]
+
+
+def test_only_the_report_sets_its_own_outcome():
+    # VerificationReport.fail and .undecided are the only writers of a report's
+    # status and counterexample; constructor arguments are not assignments
+    owned = {"status", "counterexample"}
+    offenders = []
+    for path in sorted(Path(checks.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        inside = {id(node) for cls in ast.walk(tree)
+                  if isinstance(cls, ast.ClassDef) and cls.name == "VerificationReport"
+                  for node in ast.walk(cls)}
+        offenders += [
+            f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+            and node.attr in owned and id(node) not in inside
+        ]
+    assert offenders == []

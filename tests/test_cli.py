@@ -46,6 +46,13 @@ def test_verify_fail_exits_two(capsys):
     assert "counterexample:" in out_of(capsys)
 
 
+def test_verify_fail_is_never_downgraded_by_a_later_cap_hit(capsys):
+    code = main(["verify", "--word", HOLUB, "--claim", "peak-average", "--cap", "3"])
+    out = out_of(capsys)
+    assert code == 2
+    assert "status:    fail" in out and "  position: 1\n" in out
+
+
 def test_verify_inconclusive_exits_three(capsys):
     code = main(["verify", "--word", "thue-morse", "--claim", "dyadic-gain",
                  "--kprime", "2", "--repetition-bound", "2"])
@@ -125,6 +132,7 @@ def test_verify_flag_the_claim_does_not_take_is_a_parameter_error(capsys):
     ["factorize", "--word", "periodic:ab?", "--format", "csv", "--mode", "dyadic",
      "--level", "1", "--horizon", "8"],
     ["factorize", "--word", "periodic:ab?", "--format", "csv", "--z", "a", "--horizon", "20"],
+    ["alpha", "--word", "periodic:ab?", "--depth", "2", "--horizon", "60"],
 ])
 def test_words_with_holes_are_a_parameter_error(argv, capsys):
     assert main(argv) == 1
@@ -585,6 +593,16 @@ def test_batch_inconclusive_only_exits_three(tmp_path):
          "params": {"kprime": 2, "repetition_bound": 2}, "format": "json"},
     ])
     assert run_batch(str(cfg), str(tmp_path / "o")) == 3
+
+
+def test_batch_error_outranks_inconclusive(tmp_path):
+    cfg = tmp_path / "batch.json"
+    _write_batch(cfg, [
+        {"action": "verify", "word": "thue-morse", "claim": "dyadic-gain",
+         "params": {"kprime": 2, "repetition_bound": 2}, "format": "json"},
+        {"action": "generate", "word": "nosuch"},
+    ])
+    assert run_batch(str(cfg), str(tmp_path / "o")) == 1
 
 
 def test_empty_batch(tmp_path):

@@ -1,5 +1,7 @@
 """Word sources, the parametrized construction, and the descriptor language."""
 
+import os
+import subprocess
 import sys
 import threading
 from pathlib import Path
@@ -214,6 +216,28 @@ def test_residue_rule_for_all_positions_matches_the_scalar_rule_and_the_recursio
     # every length, the ones just past a block boundary included
     for k in (0, 1, 2, 3, params.block_length(2), params.block_length(2) + 1):
         assert holub_letters(params, k) == got[:k]
+
+
+# a regression would ask for 10^11 letters at stage 1; the child's address
+# space limit turns that into a MemoryError instead of a swapping machine
+_HUGE_EXPONENT_PREFIX = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from periwords.words import holub_letters, parse_descriptor
+for body in ("n=100000000000;tail=repeat", "n=2,100000000000;tail=repeat"):
+    source = parse_descriptor("holub:" + body)
+    assert source.prefix(9) == holub_letters(source.params, 9), body
+"""
+
+
+def test_a_huge_exponent_builds_only_the_stage_prefix_it_needs():
+    pytest.importorskip("resource")
+    src = str(Path(periwords.__file__).parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    child = subprocess.run([sys.executable, "-c", _HUGE_EXPONENT_PREFIX], env=env,
+                           capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
 
 
 def test_residue_rule_needs_a_nonnegative_length():
