@@ -14,12 +14,13 @@ windowed-pass is never upgraded to pass.
 """
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from . import kernels
 from .errors import InsufficientWindowError
 from .factorize import (
+    AlphaChain,
     ReturnFactorization,
     alpha_chain,
     dyadic_factorization,
@@ -87,15 +88,7 @@ class VerificationReport:
         self.notes = "; ".join(filter(None, (self.notes, note)))
 
     def to_json(self) -> dict:
-        return {
-            "claim": self.claim,
-            "params": self.params,
-            "instances": self.instances,
-            "status": self.status,
-            "counterexample": self.counterexample,
-            "notes": self.notes,
-            "details": self.details,
-        }
+        return asdict(self)
 
 
 def _frac(x: Fraction) -> str:
@@ -185,12 +178,13 @@ def check_peak_witness(params: HolubParams, depth: int = 3) -> VerificationRepor
         report.instances += 1
         d = anchor_length(params, j)
         expected_len = predicted_peak_period(params, j)
+        # the scan first: the size check on its prefix also bounds the witness
+        got = local_period_infinite(source, d, expected_len + 1)
         try:
             pred = predicted_witness(params, j)
         except ValueError as e:
             report.fail({"op": "predicted_witness", "j": j, "error": str(e)})
             break
-        got = local_period_infinite(source, d, expected_len + 1)
         row = {"j": j, "position": d, "length": expected_len, "witness": pred}
         ok = (
             len(pred) == expected_len
@@ -476,7 +470,6 @@ def return_gain_step(
     fact_lo: ReturnFactorization,
     fact_hi: ReturnFactorization,
     window: int = 8,
-    claim: str = "return-gain",
     params: dict | None = None,
 ) -> VerificationReport:
     """Per-block inequality chain for nested return factorizations.
@@ -495,7 +488,7 @@ def return_gain_step(
     m_lo = fact_lo.max_return_time
     mu_hi = fact_hi.min_return_length
     condition = mu_hi > 2 * m_lo
-    report = VerificationReport(claim, params or {}, 0, WINDOWED, notes=(
+    report = VerificationReport("return-gain", params or {}, 0, WINDOWED, notes=(
         f"windowed m_lo={m_lo}, mu_hi={mu_hi}; length condition "
         f"{'holds' if condition else 'FAILS'} in this window"
     ))
@@ -565,6 +558,14 @@ def return_gain_step(
     return report
 
 
+def _chain_factorization(
+    source: WordSource, chain: AlphaChain, k: int, horizon: int
+) -> ReturnFactorization:
+    """The window cut at the level-k chain power alpha_k^e_k."""
+    return return_factorization(source, chain.power(k), horizon,
+                                exponent=chain.level(k).exponent, assert_block_prefix=True)
+
+
 def build_gain_pair(
     source: WordSource,
     k: int,
@@ -575,15 +576,9 @@ def build_gain_pair(
     """Find the first chain level whose blocks are long enough for the
     half-gain step over level k, and return both factorizations."""
     chain = alpha_chain(source, max_depth, horizon, repetition_bound)
-    fact_lo = return_factorization(
-        source, chain.power(k), horizon, exponent=chain.level(k).exponent,
-        assert_block_prefix=True,
-    )
+    fact_lo = _chain_factorization(source, chain, k, horizon)
     for kp in range(k + 1, max_depth + 1):
-        fact_hi = return_factorization(
-            source, chain.power(kp), horizon, exponent=chain.level(kp).exponent,
-            assert_block_prefix=True,
-        )
+        fact_hi = _chain_factorization(source, chain, kp, horizon)
         if fact_hi.min_return_length > 2 * fact_lo.max_return_time:
             return fact_lo, fact_hi, kp
     raise InsufficientWindowError(
@@ -613,14 +608,8 @@ def check_return_gain(
         params["kprime"] = kp
     else:
         chain = alpha_chain(source, kprime, horizon, repetition_bound)
-        fact_lo = return_factorization(
-            source, chain.power(k), horizon, exponent=chain.level(k).exponent,
-            assert_block_prefix=True,
-        )
-        fact_hi = return_factorization(
-            source, chain.power(kprime), horizon, exponent=chain.level(kprime).exponent,
-            assert_block_prefix=True,
-        )
+        fact_lo = _chain_factorization(source, chain, k, horizon)
+        fact_hi = _chain_factorization(source, chain, kprime, horizon)
     return return_gain_step(fact_lo, fact_hi, window, params=params)
 
 

@@ -14,8 +14,10 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from fractions import Fraction
+from types import UnionType
+from typing import Literal, get_args, get_origin
 
 from . import checks
 from .checks import DEFAULT_SEED, VerificationReport
@@ -31,111 +33,103 @@ LINE = 64  # letters per text line when rendering word prefixes
 # configuration
 
 
+# file extension of each --format choice
+_EXT = {"text": "txt", "json": "json", "csv": "csv"}
+
+
 @dataclass
 class ExperimentConfig:
-    """One runnable experiment; serializes losslessly with explicit defaults."""
+    """One runnable experiment; serializes losslessly with explicit defaults.
+
+    The field annotations are the types from_json admits.
+    """
 
     action: str
     word: str | None = None
     text: str | None = None
     claim: str | None = None
     params: dict = field(default_factory=dict)
-    format: str = "text"
+    format: Literal[tuple(_EXT)] = "text"
     out: str | None = None
     seed: int = DEFAULT_SEED
 
     def to_json(self) -> dict:
-        return {
-            "action": self.action,
-            "word": self.word,
-            "text": self.text,
-            "claim": self.claim,
-            "params": dict(self.params),
-            "format": self.format,
-            "out": self.out,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, data: dict) -> "ExperimentConfig":
         if not isinstance(data, dict):
             raise TypeError(f"a run takes an object, got {data!r}")
-        known = {"action", "word", "text", "claim", "params", "format", "out", "seed"}
-        extra = set(data) - known
+        annotations = {f.name: f.type for f in fields(cls)}
+        extra = set(data) - set(annotations)
         if extra:
             raise ValueError(f"unknown config fields: {sorted(extra)}")
         if "action" not in data:
             raise ValueError("config needs an 'action' field")
-        if not isinstance(data["action"], str):
-            raise TypeError(f"field 'action' takes a string, got {data['action']!r}")
-        for name in ("word", "text", "claim", "out"):
-            if not isinstance(data.get(name), (str, type(None))):
-                raise TypeError(f"field {name!r} takes a string or null, got {data[name]!r}")
-        if not isinstance(data.get("params") or {}, dict):
-            raise TypeError(f"field 'params' takes an object, got {data['params']!r}")
-        if data.get("format", "text") not in _EXT:
-            raise ValueError(f"field 'format' takes one of {list(_EXT)}, got {data['format']!r}")
-        if not _admits(int, data.get("seed", DEFAULT_SEED)):
-            raise TypeError(f"field 'seed' takes an int, got {data['seed']!r}")
-        return cls(
-            action=data["action"],
-            word=data.get("word"),
-            text=data.get("text"),
-            claim=data.get("claim"),
-            params=dict(data.get("params") or {}),
-            format=data.get("format", "text"),
-            out=data.get("out"),
-            seed=data.get("seed", DEFAULT_SEED),
-        )
+        # a null params object means no parameters
+        data = {**data, "params": {} if data.get("params") is None else data["params"]}
+        for name, annotation in annotations.items():
+            if name in data:
+                _check_type(f"field {name!r}", annotation, data[name])
+        return cls(**{**data, "params": dict(data["params"])})
 
     def resolved(self) -> "ExperimentConfig":
         """Copy with every applicable default written out explicitly.
 
         Raises ValueError for a parameter the action or claim does not take,
-        and TypeError for a value its checker's annotation does not admit.
+        and TypeError for a value its declared annotation does not admit.
         """
-        spec = None  # the claim whose checker takes the parameters, if any
         if self.action == "verify":
-            spec = _claim_spec(self.claim)
+            owner, table = self.claim, _claim_spec(self.claim).params
         elif self.action == "report":
-            spec = CLAIMS["divergence"]
-        elif self.action not in _ACTION_DEFAULTS:
+            owner, table = self.action, CLAIMS["divergence"].params
+        elif self.action in _ACTION_PARAMS:
+            owner, table = self.action, _ACTION_PARAMS[self.action]
+        else:
             raise ValueError(f"unknown action {self.action!r}")
-        defaults = dict(_ACTION_DEFAULTS[self.action] if spec is None else spec.defaults)
-        if "seed" in defaults:
-            defaults["seed"] = self.seed
-        owner = self.claim if self.action == "verify" else self.action
-        unknown = sorted(set(self.params) - set(defaults))
+        unknown = sorted(set(self.params) - set(table))
         if unknown:
             raise ValueError(f"unknown parameters for {owner}: {unknown}")
-        if spec is not None:
-            types = dict(spec.types)
-            for name, value in self.params.items():
-                if not _admits(types[name], value):
-                    raise TypeError(f"parameter {name!r} of {owner} takes "
-                                    f"{inspect.formatannotation(types[name])}, got {value!r}")
+        for name, value in self.params.items():
+            _check_type(f"parameter {name!r} of {owner}", table[name][0], value)
+        defaults = {name: default for name, (_, default) in table.items()}
+        if "seed" in defaults:
+            defaults["seed"] = self.seed
         return replace(self, params={**defaults, **self.params})
 
 
-# the parameters of the actions that do not run a checker; verify takes the
-# claim's, report the divergence claim's
-_ACTION_DEFAULTS: dict[str, dict] = {
-    "generate": {"n": 64},
-    "profile": {"n": 64, "cap": None},
-    "factorize": {"z": None, "mode": "return", "level": 1, "horizon": 4096,
-                  "exponent": None, "alpha_power": False},
-    "alpha": {"depth": 2, "horizon": 10_000, "repetition_bound": None},
+# name -> (annotation, default) of the parameters of each action that runs no
+# checker; verify takes the claim's, report the divergence claim's
+_ACTION_PARAMS: dict[str, dict] = {
+    "generate": {"n": (int, 64)},
+    "profile": {"n": (int, 64), "cap": (int | None, None)},
+    "factorize": {"z": (str | None, None), "mode": (Literal["return", "dyadic"], "return"),
+                  "level": (int, 1), "horizon": (int, 4096), "exponent": (int | None, None),
+                  "alpha_power": (bool, False)},
+    "alpha": {"depth": (int, 2), "horizon": (int, 10_000), "repetition_bound": (int | None, None)},
 }
 
 
 def _admits(annotation, value) -> bool:
-    # the checkers' parameters are int, int | None or tuple[int, ...] (a test
-    # keeps it so); a JSON list stands for a tuple, and a bool is not an int
+    """Whether a JSON value has the annotated type.
+
+    A JSON list stands for a tuple, and a bool is not an int.
+    """
+    origin, args = get_origin(annotation), get_args(annotation)
+    if origin is UnionType:
+        return any(_admits(a, value) for a in args)
+    if origin is Literal:
+        return any(type(value) is type(a) and value == a for a in args)
+    if origin is tuple:  # tuple[T, ...]
+        return isinstance(value, (list, tuple)) and all(_admits(args[0], v) for v in value)
     if annotation is int:
         return isinstance(value, int) and not isinstance(value, bool)
-    if annotation == int | None:
-        return value is None or _admits(int, value)
-    return isinstance(value, (list, tuple)) and all(_admits(int, v) for v in value)
+    return isinstance(value, annotation)
+
+
+def _check_type(what: str, annotation, value) -> None:
+    if not _admits(annotation, value):
+        raise TypeError(f"{what} takes {inspect.formatannotation(annotation)}, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -154,9 +148,7 @@ class ClaimSpec:
     claim_id: str
     checker: str
     kind: str  # "holub" | "source" | "none": what the first parameter takes
-    defaults: tuple  # (name, default) of every parameter after the subject
-    types: tuple  # (name, annotation) of the same parameters
-    help: str  # first line of the checker's docstring
+    params: dict  # name -> (annotation, default) of every parameter after the subject
 
     def run(self, params: dict, source: WordSource | None) -> VerificationReport:
         """Run the checker; a pass that checked no instance decides nothing."""
@@ -194,10 +186,7 @@ def _claim(claim_id: str, checker: str) -> ClaimSpec:
     kind = _SUBJECT_KINDS.get(params[0].annotation, "none")
     if kind != "none":
         params = params[1:]
-    defaults = tuple((p.name, p.default) for p in params)
-    types = tuple((p.name, p.annotation) for p in params)
-    help_ = (fn.__doc__ or "").strip().split("\n")[0]
-    return ClaimSpec(claim_id, checker, kind, defaults, types, help_)
+    return ClaimSpec(claim_id, checker, kind, {p.name: (p.annotation, p.default) for p in params})
 
 
 CLAIMS = {spec.claim_id: spec for spec in (
@@ -488,10 +477,6 @@ def run(cfg: ExperimentConfig) -> int:
     return code
 
 
-# file extension of each --format choice
-_EXT = {"text": "txt", "json": "json", "csv": "csv"}
-
-
 def run_batch(config_path: str, out_dir: str) -> int:
     """Run every entry of a batch file; one entry's error never stops the rest."""
     with open(config_path, encoding="utf-8") as f:
@@ -540,61 +525,50 @@ def _checkpoint_list(text: str) -> list[int]:
     return [int(t) for t in text.split(",") if t]
 
 
+def _flag_reader(annotation) -> dict:
+    """How a parameter flag reads a value of the annotated type."""
+    if annotation is bool:
+        return {"action": "store_true", "default": None}
+    if get_origin(annotation) is Literal:
+        return {"choices": get_args(annotation)}
+    if get_origin(annotation) is tuple:
+        return {"type": _checkpoint_list}
+    return {"type": str if str in get_args(annotation) else _int_or_none}
+
+
 def _build_parser() -> _Parser:
     top = _Parser(prog="periwords",
                   description="local periods and periodicity complexity toolkit")
     sub = top.add_subparsers(dest="action", required=True)
 
-    def common(p, word=True):
-        if word:
-            p.add_argument("--word", help="word descriptor, e.g. fibonacci, holub:n=2,2;tail=repeat")
+    def common(name, help_):
+        p = sub.add_parser(name, help=help_)
+        p.add_argument("--word", help="word descriptor, e.g. fibonacci, holub:n=2,2;tail=repeat")
         p.add_argument("--format", choices=list(_EXT), default="text")
         p.add_argument("--out", help="output path (default stdout)")
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        return p
 
-    def param_flags(p, names):
+    def param_flags(p, params):
         # no defaults here: resolved() fills in every parameter not given
-        for name in names:
+        for name, (annotation, _) in params.items():
             flags = ["--J", "--I", "--K"] if name == "depth" else []
             p.add_argument(*flags, "--" + name.replace("_", "-"), dest=name,
-                           type=_checkpoint_list if name == "checkpoints" else _int_or_none)
+                           **_flag_reader(annotation))
 
-    g = sub.add_parser("generate", help="print a prefix of a word")
-    common(g)
-    g.add_argument("--n", type=int)
-
-    pr = sub.add_parser("profile", help="local periods and running complexity")
-    common(pr)
+    param_flags(common("generate", "print a prefix of a word"), _ACTION_PARAMS["generate"])
+    pr = common("profile", "local periods and running complexity")
     pr.add_argument("--text", help="literal finite word instead of --word")
-    pr.add_argument("--n", type=int)
-    pr.add_argument("--cap", type=_int_or_none)
-
-    fa = sub.add_parser("factorize", help="return-word or power-of-two factorization")
-    common(fa)
-    fa.add_argument("--z", help="marker factor for return mode")
-    fa.add_argument("--mode", choices=["return", "dyadic"])
-    fa.add_argument("--level", type=int, help="dyadic level (block length 2^level)")
-    fa.add_argument("--horizon", type=int)
-    fa.add_argument("--exponent", type=_int_or_none)
-    fa.add_argument("--alpha-power", action="store_true", default=None, dest="alpha_power",
-                    help="assert the marker prefixes every return word")
-
-    al = sub.add_parser("alpha", help="minimal-return chain")
-    common(al)
-    al.add_argument("--K", "--depth", dest="depth", type=int)
-    al.add_argument("--horizon", type=int)
-    al.add_argument("--repetition-bound", dest="repetition_bound", type=_int_or_none)
-
-    ve = sub.add_parser("verify", help="run one claim checker")
-    common(ve)
+    param_flags(pr, _ACTION_PARAMS["profile"])
+    param_flags(common("factorize", "return-word or power-of-two factorization"),
+                _ACTION_PARAMS["factorize"])
+    param_flags(common("alpha", "minimal-return chain"), _ACTION_PARAMS["alpha"])
+    ve = common("verify", "run one claim checker")
     ve.add_argument("--claim", required=True, help=", ".join(sorted(CLAIMS)))
     # the config's own --seed stands for a checker's seed parameter
-    param_flags(ve, dict.fromkeys(
-        name for spec in CLAIMS.values() for name, _ in spec.defaults if name != "seed"))
-
-    re_ = sub.add_parser("report", help="complexity trend at checkpoints")
-    common(re_)
-    param_flags(re_, [name for name, _ in CLAIMS["divergence"].defaults])
+    param_flags(ve, {name: entry for spec in CLAIMS.values()
+                     for name, entry in spec.params.items() if name != "seed"})
+    param_flags(common("report", "complexity trend at checkpoints"), CLAIMS["divergence"].params)
 
     ba = sub.add_parser("batch", help="run a JSON list of configs")
     ba.add_argument("--config", required=True)

@@ -6,7 +6,7 @@ extremal return-word lengths are exact for that window but only bounds for
 the full word unless a caller vouches for a known repetition bound.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from . import kernels
@@ -39,15 +39,8 @@ def return_words(z: str, source: WordSource, horizon: int | None = None) -> tupl
     A return word spans one occurrence of z to the next; at least two
     occurrences are needed, otherwise the window is declared insufficient.
     """
-    occ = occurrences(z, source, horizon)
-    if len(occ) < 2:
-        raise InsufficientWindowError(
-            f"{z!r} occurs {len(occ)} time(s) in a window of {horizon}; need >= 2"
-        )
-    text = source.prefix(horizon)
-    seen = sorted({text[a:b] for a, b in zip(occ, occ[1:])})
-    max_time = max(b - a for a, b in zip(occ, occ[1:]))
-    return seen, max_time
+    fact = return_factorization(source, z, horizon)
+    return sorted(set(fact.returns)), fact.max_return_time
 
 
 def max_exponent(v: str, source: WordSource, horizon: int | None = None) -> int:
@@ -103,14 +96,7 @@ class AlphaChain:
         return e.alpha * e.exponent
 
     def to_json(self) -> dict:
-        return {
-            "alphabet": self.alphabet,
-            "exponents_certified": self.exponents_certified,
-            "entries": [
-                {"alpha": e.alpha, "exponent": e.exponent, "horizon": e.horizon}
-                for e in self.entries
-            ],
-        }
+        return asdict(self)
 
 
 def alpha_chain(

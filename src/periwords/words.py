@@ -19,6 +19,16 @@ from .errors import DescriptorError
 
 HOLE = "?"
 HOLE_RANK = 255
+# the longest prefix a source is asked for, about 3.4e7 letters: its letters
+# and ranks take 64 MB, and building a morphic one a few hundred MB more.  A
+# word with a huge exponent asks for far longer ones, which are refused before
+# anything is allocated.
+MAX_PREFIX = 1 << 25
+
+
+def _check_size(n: int, what: str) -> None:
+    if n > MAX_PREFIX:
+        raise ValueError(f"{what} needs {n} letters, over the limit of {MAX_PREFIX}")
 
 
 class Alphabet:
@@ -128,12 +138,13 @@ class WordSource:
         snap = self._snap
         if len(snap[0]) >= n:
             return snap
+        _check_size(n, f"a prefix of {self.descriptor}")
         with self._lock:
             snap = self._snap
             if len(snap[0]) >= n:
                 return snap
             buf = snap[0]
-            target = max(n, 2 * len(buf), 64)
+            target = min(max(n, 2 * len(buf), 64), MAX_PREFIX)
             new = self._generate(target)
             if len(new) < n:
                 raise ValueError(
@@ -259,7 +270,7 @@ class HolubParams:
         if self.strictly_increasing:
             if any(b <= a for a, b in pairs):
                 raise ValueError(f"exponents must be strictly increasing: {self.head}")
-            if self.tail == "repeat" and len(self.head) >= 1:
+            if self.tail == "repeat":
                 raise ValueError("tail=repeat cannot be strictly increasing")
         else:
             if any(b < a for a, b in pairs):
@@ -288,15 +299,15 @@ class HolubParams:
 
     def descriptor_body(self) -> str:
         body = "n=" + ",".join(str(v) for v in self.head)
-        if self.tail == "repeat":
-            return body + ";tail=repeat"
-        return body + f";tail=step:{self.step}"
+        body += ";tail=repeat" if self.tail == "repeat" else f";tail=step:{self.step}"
+        return body + (";strict=1" if self.strictly_increasing else "")
 
 
 def holub_u(params: HolubParams, j: int) -> str:
     """Finite stage word u_j: u_0 is empty, u_j = u_(j-1) a (u_(j-1) b)^n_j u_(j-1)."""
     if j < 0:
         raise ValueError("stage must be >= 0")
+    _check_size(params.block_length(j) - 1, f"u_{j} of holub:{params.descriptor_body()}")
     u = ""
     for t in range(1, j + 1):
         u = u + "a" + (u + "b") * params.n(t) + u
@@ -420,6 +431,8 @@ def holub_toeplitz(params: HolubParams, stage: int) -> WordSource:
         raise ValueError("stage must be >= 0")
     w: WordSource = hole_source()
     for i in range(1, stage + 1):
+        _check_size(params.n(i) + 2,
+                    f"the stage-{i} pattern of toeplitz:{params.descriptor_body()}")
         pattern = "a" + "b" * params.n(i) + HOLE
         # holes of the previous stage sit at multiples of its block length,
         # so the default scan horizon is too short once blocks outgrow it

@@ -3,6 +3,11 @@
 import json
 import os
 import stat
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import Literal
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,6 +15,7 @@ from hypothesis import strategies as st
 
 from periwords import checks
 from periwords.cli import (
+    _ACTION_PARAMS,
     CLAIMS,
     DEFAULT_SEED,
     ExperimentConfig,
@@ -23,7 +29,7 @@ from periwords.cli import (
 )
 from periwords.factorize import dyadic_factorization, return_factorization
 from periwords.periods import PeriodProfile, h_of
-from periwords.words import parse_descriptor
+from periwords.words import MAX_PREFIX, parse_descriptor
 
 HOLUB = "holub:n=2,2;tail=repeat"
 
@@ -98,6 +104,28 @@ def test_parameter_error_exits_one(capsys):
     assert main(["verify", "--word", HOLUB, "--claim", "nosuch-claim"]) == 1
     err = capsys.readouterr().err
     assert "known claims" in err
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "--claim", "big", "--word", "holub:n=99999999999;tail=repeat", "--J", "1"],
+    ["generate", "--word", "toeplitz:n=99999999999;tail=repeat;stage=1", "--n", "9"],
+    ["verify", "--claim", "peak-witness", "--word", "holub:n=99999999999;tail=repeat", "--J", "1"],
+    ["verify", "--claim", "block-closure", "--word", "holub:n=99999999999;tail=repeat", "--J", "1"],
+], ids=["anchor-scan", "toeplitz-pattern", "witness", "stage-word"])
+def test_a_word_past_the_size_limit_is_a_parameter_error(args):
+    # each would need 10^11 letters; the size check refuses it before anything
+    # is allocated, and the child's address space limit turns a regression
+    # into a MemoryError instead of a swapping machine
+    resource = pytest.importorskip("resource")
+    src = str(Path(checks.__file__).parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    child = subprocess.run(
+        [sys.executable, "-m", "periwords", *args], env=env, capture_output=True, text=True,
+        timeout=120, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)))
+    assert child.returncode == 1, child.stderr
+    assert child.stderr.startswith("parameter error:"), child.stderr
+    assert child.stderr.endswith(f"over the limit of {MAX_PREFIX}\n"), child.stderr
 
 
 def test_output_error_exits_one(tmp_path, capsys):
@@ -305,6 +333,10 @@ def test_none_flag_value_means_the_default(capsys):
     assert main(["verify", "--word", HOLUB, "--claim", "occurrence-rigidity",
                  "--I", "2", "--horizon", "none", "--format", "json"]) == 0
     assert json.loads(out_of(capsys))["params"]["horizon"] == 10_000
+    assert main(["generate", "--word", "fibonacci", "--n", "none", "--format", "json"]) == 0
+    assert json.loads(out_of(capsys))["n"] == 64
+    assert main(["alpha", "--word", "fibonacci", "--J", "none", "--format", "csv"]) == 0
+    assert len(out_of(capsys).splitlines()) == 3  # the header and the default 2 levels
 
 
 # ---------------------------------------------------------------------------
@@ -432,14 +464,12 @@ def test_claim_registry_is_complete():
     assert "big" in CLAIMS
     for spec in CLAIMS.values():
         assert spec.kind in ("holub", "source", "none")
-        assert spec.help
 
 
 def test_every_claim_parameter_has_a_checked_type():
-    # resolved() type-checks values against these three annotations only
+    # the checkers' parameters take these three annotations only
     for spec in CLAIMS.values():
-        assert [name for name, _ in spec.types] == [name for name, _ in spec.defaults]
-        for name, annotation in spec.types:
+        for name, (annotation, _) in spec.params.items():
             assert annotation in (int, int | None, tuple[int, ...]), (spec.claim_id, name)
 
 
@@ -502,7 +532,19 @@ def test_batch_parameter_of_the_wrong_type_errors_one_run(tmp_path):
      "TypeError: parameter 'checkpoints' of divergence takes tuple[int, ...], got [16, '32']"),
     ({"action": "report", "word": "fibonacci", "params": {"cap": False}},
      "TypeError: parameter 'cap' of report takes int | None, got False"),
-], ids=["bool-for-int", "float-for-int", "string-in-tuple", "bool-for-optional-int"])
+    ({"action": "factorize", "word": "fibonacci", "params": {"z": "a", "mode": "bogus"}},
+     "TypeError: parameter 'mode' of factorize takes Literal['return', 'dyadic'], got 'bogus'"),
+    ({"action": "factorize", "word": "fibonacci", "params": {"z": "aa", "alpha_power": "no"}},
+     "TypeError: parameter 'alpha_power' of factorize takes bool, got 'no'"),
+    ({"action": "generate", "word": HOLUB, "params": {"n": True}},
+     "TypeError: parameter 'n' of generate takes int, got True"),
+    ({"action": "alpha", "word": "fibonacci", "params": {"depth": True}},
+     "TypeError: parameter 'depth' of alpha takes int, got True"),
+    ({"action": "generate", "word": HOLUB, "params": {"n": 2.5}},
+     "TypeError: parameter 'n' of generate takes int, got 2.5"),
+], ids=["bool-for-int", "float-for-int", "string-in-tuple", "bool-for-optional-int",
+        "factorize-mode", "factorize-alpha-power", "generate-bool", "alpha-bool",
+        "generate-float"])
 def test_batch_parameter_types_follow_the_checker_annotations(tmp_path, entry, error):
     cfg = tmp_path / "batch.json"
     _write_batch(cfg, [
@@ -516,6 +558,67 @@ def test_batch_parameter_types_follow_the_checker_annotations(tmp_path, entry, e
     assert summary["runs"][0]["error"] == error
     assert not (out_dir / f"000-{entry['action']}.txt").exists()
     assert (out_dir / "001-report.txt").exists()
+
+
+# (action, claim, owner, name, annotation) of every declared parameter
+DECLARED = (
+    [(action, None, action, name, annotation)
+     for action, table in _ACTION_PARAMS.items() for name, (annotation, _) in table.items()]
+    + [("report", None, "report", name, annotation)
+       for name, (annotation, _) in CLAIMS["divergence"].params.items()]
+    + [("verify", claim, claim, name, annotation)
+       for claim, spec in CLAIMS.items() for name, (annotation, _) in spec.params.items()]
+)
+
+# the JSON values of the wrong type for each declared annotation, among a bool
+# (an int for a bool), a float, a string, a list and null, written out apart
+# from the type check
+WRONG_VALUES = {
+    int: [True, 2.5, "3", [1], None],
+    int | None: [True, 2.5, "3", [1]],
+    tuple[int, ...]: [True, 2.5, "3", [True], [2.5], None],
+    str | None: [True, 2.5, [1]],
+    bool: [1, 2.5, "3", [1], None],
+    Literal["return", "dyadic"]: [True, 2.5, "3", [1], None],
+}
+
+
+def test_every_declared_annotation_has_wrong_values():
+    assert {annotation for *_, annotation in DECLARED} <= set(WRONG_VALUES)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(DECLARED), st.data())
+def test_a_wrong_typed_parameter_errors_its_run_only(declared, data):
+    action, claim, owner, name, annotation = declared
+    value = data.draw(st.sampled_from(WRONG_VALUES[annotation]))
+    entry = {"action": action, "word": HOLUB, "claim": claim, "params": {name: value}}
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "batch.json")
+        with open(cfg, "w", encoding="utf-8") as f:
+            json.dump({"runs": [entry, {"action": "generate", "word": HOLUB,
+                                        "params": {"n": 15}}]}, f)
+        out_dir = os.path.join(tmp, "out")
+        assert run_batch(cfg, out_dir) == 1
+        with open(os.path.join(out_dir, "summary.json"), encoding="utf-8") as f:
+            rows = json.load(f)["runs"]
+        assert sorted(os.listdir(out_dir)) == ["001-generate.txt", "summary.json"]
+    assert [r["status"] for r in rows] == ["error", "ok"]
+    error = rows[0]["error"]
+    assert error.startswith(f"TypeError: parameter {name!r} of {owner} takes "), error
+    assert error.endswith(f", got {value!r}"), error
+
+
+@pytest.mark.parametrize("action", ["generate", "profile", "factorize", "alpha", "verify",
+                                    "report"])
+def test_every_declared_parameter_has_a_flag(action, capsys):
+    options = _option_strings(action)
+    for name in {name for owner_action, _, _, name, _ in DECLARED if owner_action == action}:
+        assert "--" + name.replace("_", "-") in options, name
+    with pytest.raises(SystemExit) as exc:
+        main([action, "--help"])
+    assert exc.value.code == 0
+    assert out_of(capsys).startswith(f"usage: periwords {action}")
 
 
 def test_batch_word_with_holes_errors_one_run(tmp_path):
@@ -551,21 +654,21 @@ def test_batch_unknown_parameter_errors_one_run(tmp_path):
 
 @pytest.mark.parametrize("entry,error", [
     (5, "TypeError: a run takes an object, got 5"),
-    ({"action": 5, "word": HOLUB}, "TypeError: field 'action' takes a string, got 5"),
-    ({"action": "generate", "word": 5}, "TypeError: field 'word' takes a string or null, got 5"),
-    ({"action": "profile", "text": 5}, "TypeError: field 'text' takes a string or null, got 5"),
+    ({"action": 5, "word": HOLUB}, "TypeError: field 'action' takes str, got 5"),
+    ({"action": "generate", "word": 5}, "TypeError: field 'word' takes str | None, got 5"),
+    ({"action": "profile", "text": 5}, "TypeError: field 'text' takes str | None, got 5"),
     ({"action": "verify", "claim": ["big"]},
-     "TypeError: field 'claim' takes a string or null, got ['big']"),
+     "TypeError: field 'claim' takes str | None, got ['big']"),
     ({"action": "generate", "word": HOLUB, "out": 7},
-     "TypeError: field 'out' takes a string or null, got 7"),
+     "TypeError: field 'out' takes str | None, got 7"),
     ({"action": "generate", "word": HOLUB, "params": [15]},
-     "TypeError: field 'params' takes an object, got [15]"),
+     "TypeError: field 'params' takes dict, got [15]"),
     ({"action": "generate", "word": HOLUB, "format": "xml"},
-     "ValueError: field 'format' takes one of ['text', 'json', 'csv'], got 'xml'"),
+     "TypeError: field 'format' takes Literal['text', 'json', 'csv'], got 'xml'"),
     ({"action": "verify", "claim": "factor-bound", "params": {"trials": 5}, "seed": "3"},
-     "TypeError: field 'seed' takes an int, got '3'"),
+     "TypeError: field 'seed' takes int, got '3'"),
     ({"action": "verify", "claim": "factor-bound", "params": {"trials": 5}, "seed": True},
-     "TypeError: field 'seed' takes an int, got True"),
+     "TypeError: field 'seed' takes int, got True"),
 ], ids=["run", "action", "word", "text", "claim", "out", "params", "format", "seed-str",
         "seed-bool"])
 def test_batch_config_fields_are_type_checked(tmp_path, entry, error):

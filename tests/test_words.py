@@ -17,6 +17,7 @@ from periwords.words import (
     Alphabet,
     FormulaSource,
     HolubParams,
+    MAX_PREFIX,
     MorphicSource,
     PeriodicSource,
     ToeplitzSource,
@@ -361,6 +362,27 @@ def test_descriptor_round_trip(text):
     src = parse_descriptor(text)
     again = parse_descriptor(src.descriptor)
     assert again.prefix(50) == src.prefix(50)
+
+
+@pytest.mark.parametrize("family", ["holub", "holub-formula", "toeplitz"])
+def test_holub_descriptors_keep_every_parameter(family):
+    for body in ("n=2,2;tail=repeat", "n=2,3;tail=step:2", "n=2,3;tail=step:1;strict=1"):
+        text = f"{family}:{body}" + (";stage=2" if family == "toeplitz" else "")
+        src = parse_descriptor(text)
+        assert src.descriptor == text
+        again = parse_descriptor(src.descriptor)
+        assert again.descriptor == text
+        assert getattr(again, "params", None) == getattr(src, "params", None)
+
+
+def test_a_prefix_past_the_size_limit_is_refused_before_it_is_built():
+    src = fibonacci_source()
+    for read in (src.prefix, src.ranks, src.letter_at):
+        with pytest.raises(ValueError, match=f"over the limit of {MAX_PREFIX}"):
+            read(MAX_PREFIX + 1)
+    assert src.prefix(5) == "abaab"
+    with pytest.raises(ValueError, match="stage-1 pattern"):
+        holub_toeplitz(HolubParams((MAX_PREFIX,)), 1)
 
 
 def test_descriptor_equivalences():
