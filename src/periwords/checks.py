@@ -10,9 +10,16 @@ Status vocabulary:
                    the window (e.g. a search cap too small), so nothing was
                    refuted and nothing was confirmed
 
-windowed-pass is never upgraded to pass.
+windowed-pass is never upgraded to pass, and a pass that checked no instance
+decides nothing: it is reported inconclusive.
+
+Each checker declares its claim with ``@_claim``, which registers it in
+``CLAIMS``; a report records the call that made it, plus what the checker
+resolved.
 """
 
+import functools
+import inspect
 import random
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
@@ -65,12 +72,16 @@ TRIAL_BLOCK = 1 << 14
 
 @dataclass
 class VerificationReport:
-    """Structured outcome of one claim checker."""
+    """Structured outcome of one claim checker.
 
-    claim: str
-    params: dict
-    instances: int
-    status: str
+    A checker puts in ``params`` only the values it resolved itself; the claim
+    declaration stamps ``claim`` and records the call's arguments.
+    """
+
+    claim: str = ""
+    params: dict = field(default_factory=dict)
+    instances: int = 0
+    status: str = PASS
     counterexample: dict | None = None
     notes: str = ""
     details: list = field(default_factory=list)
@@ -91,6 +102,88 @@ class VerificationReport:
         return asdict(self)
 
 
+# ---------------------------------------------------------------------------
+# the claim registry
+
+
+@dataclass(frozen=True)
+class ClaimSpec:
+    """A claim and the name of the checker in this module that verifies it.
+
+    Everything else is read off the checker's signature by ``_claim``.  The
+    checker is looked up by name on every run, so whatever this module holds
+    under that name at the time (a traced wrapper, say) is what runs.
+    """
+
+    claim_id: str
+    checker: str
+    kind: str  # "holub" | "source" | "none": what the first parameter takes
+    params: dict  # name -> (annotation, default) of every parameter after the subject
+
+    def run(self, params: dict, source: WordSource | None) -> VerificationReport:
+        """Run the checker on the subject ``source`` stands for."""
+        checker = globals()[self.checker]
+        if self.kind == "none":
+            return checker(**params)
+        if self.kind == "holub":
+            holub = getattr(source, "params", None)
+            if holub is None:
+                name = source.descriptor if source is not None else "(none)"
+                raise ValueError(f"this claim needs a holub-family word, got {name}")
+            return checker(holub, **params)
+        if source.has_holes:
+            raise ValueError(f"cannot check {self.claim_id} on {source.descriptor}: "
+                             f"it has holes ({HOLE!r})")
+        return checker(source, **params)
+
+
+CLAIMS: dict[str, ClaimSpec] = {}
+
+# the kind of each subject a checker's first parameter may take, and the
+# descriptor its reports record as "word"
+_SUBJECTS = {
+    HolubParams: ("holub", lambda params: "holub:" + params.descriptor_body()),
+    WordSource: ("source", lambda source: source.descriptor),
+}
+
+
+def _claim(claim_id: str):
+    """Declare the decorated checker as the one that verifies ``claim_id``.
+
+    Every report it returns gets the claim id, and its ``params`` record the
+    call: the subject's descriptor as ``word``, every other argument under
+    its own name, then whatever the checker resolved itself.  A pass that
+    checked no instance becomes inconclusive.
+    """
+
+    def declare(checker):
+        signature = inspect.signature(checker, eval_str=True)
+        first, *rest = signature.parameters.values()
+        kind, describe = _SUBJECTS.get(first.annotation, ("none", None))
+        if kind == "none":
+            rest = [first, *rest]
+        CLAIMS[claim_id] = ClaimSpec(claim_id, checker.__name__, kind,
+                                     {p.name: (p.annotation, p.default) for p in rest})
+
+        @functools.wraps(checker)
+        def declared(*args, **kwargs):
+            call = signature.bind(*args, **kwargs)
+            call.apply_defaults()
+            report = checker(*args, **kwargs)
+            recorded = dict(call.arguments)
+            if describe is not None:
+                recorded = {"word": describe(recorded.pop(first.name)), **recorded}
+            report.claim = claim_id
+            report.params = {**recorded, **report.params}
+            if report.status in (PASS, WINDOWED) and report.instances == 0:
+                report.undecided("no instance was checked")
+            return report
+
+        return declared
+
+    return declare
+
+
 def _frac(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
@@ -104,6 +197,7 @@ def _mean(lps) -> Fraction:
 # peak local periods of the parametrized family
 
 
+@_claim("big")
 def check_peak_periods(params: HolubParams, depth: int = 3, cap: int | None = None) -> VerificationReport:
     """At each anchor position the local period equals (n_j+1) * block_length(j-1).
 
@@ -113,9 +207,7 @@ def check_peak_periods(params: HolubParams, depth: int = 3, cap: int | None = No
     level inconclusive rather than failed.
     """
     source = holub_word(params)
-    report = VerificationReport(
-        "big", {"word": source.descriptor, "depth": depth, "cap": cap}, 0, PASS
-    )
+    report = VerificationReport()
     for j in range(1, depth + 1):
         d = anchor_length(params, j)
         expected = predicted_peak_period(params, j)
@@ -163,6 +255,7 @@ def check_peak_periods(params: HolubParams, depth: int = 3, cap: int | None = No
     return report
 
 
+@_claim("peak-witness")
 def check_peak_witness(params: HolubParams, depth: int = 3) -> VerificationReport:
     """The minimal repetition word at anchor j is the predicted conjugate.
 
@@ -171,9 +264,7 @@ def check_peak_witness(params: HolubParams, depth: int = 3) -> VerificationRepor
     itself a counterexample.
     """
     source = holub_word(params)
-    report = VerificationReport(
-        "peak-witness", {"word": source.descriptor, "depth": depth}, 0, PASS
-    )
+    report = VerificationReport()
     for j in range(1, depth + 1):
         report.instances += 1
         d = anchor_length(params, j)
@@ -206,11 +297,10 @@ def check_peak_witness(params: HolubParams, depth: int = 3) -> VerificationRepor
     return report
 
 
+@_claim("block-closure")
 def check_block_closure(params: HolubParams, depth: int = 4) -> VerificationReport:
     """u_i a and u_i b decompose exactly into blocks u_(i-1)a / u_(i-1)b."""
-    report = VerificationReport(
-        "block-closure", {"word": f"holub:{params.descriptor_body()}", "depth": depth}, 0, PASS
-    )
+    report = VerificationReport()
     for i in range(1, depth + 1):
         prev = holub_u(params, i - 1)
         blocks = {prev + "a", prev + "b"}
@@ -240,6 +330,7 @@ def check_block_closure(params: HolubParams, depth: int = 4) -> VerificationRepo
     return report
 
 
+@_claim("occurrence-rigidity")
 def check_occurrence_rigidity(
     params: HolubParams, depth: int = 3, horizon: int = 10_000
 ) -> VerificationReport:
@@ -249,12 +340,7 @@ def check_occurrence_rigidity(
     windowed-pass.  Level 0 is vacuous (the empty word) and excluded.
     """
     source = holub_word(params)
-    report = VerificationReport(
-        "occurrence-rigidity",
-        {"word": source.descriptor, "depth": depth, "horizon": horizon},
-        0,
-        WINDOWED,
-    )
+    report = VerificationReport(status=WINDOWED)
     for i in range(1, depth + 1):
         u = holub_u(params, i)
         occ = occurrences(u, source, horizon)
@@ -274,13 +360,12 @@ def check_occurrence_rigidity(
     return report
 
 
+@_claim("letter-formula")
 def check_letter_formula(params: HolubParams, n: int = 10_000) -> VerificationReport:
     """The congruence formula and the nested recursion give the same letters."""
     source = holub_word(params)
     recursion = source.prefix(n)
-    report = VerificationReport(
-        "letter-formula", {"word": source.descriptor, "n": n}, n, PASS
-    )
+    report = VerificationReport(instances=n)
     formula = holub_letters(params, n)
     if formula != recursion:
         i = next(t for t in range(n) if formula[t] != recursion[t]) + 1
@@ -294,6 +379,7 @@ def check_letter_formula(params: HolubParams, n: int = 10_000) -> VerificationRe
     return report
 
 
+@_claim("toeplitz-stages")
 def check_toeplitz_stages(
     params: HolubParams, n: int = 10_000, stage: int | None = None
 ) -> VerificationReport:
@@ -311,12 +397,7 @@ def check_toeplitz_stages(
     span = min(n, params.block_length(stage) - 1)
     got = top.prefix(span)
     want = source.prefix(span)
-    report = VerificationReport(
-        "toeplitz-stages",
-        {"word": source.descriptor, "n": n, "stage": stage},
-        span,
-        PASS,
-    )
+    report = VerificationReport(params={"stage": stage}, instances=span)
     if HOLE in got:
         report.fail({
             "op": "holub_toeplitz",
@@ -337,6 +418,7 @@ def check_toeplitz_stages(
     return report
 
 
+@_claim("return-time-bound")
 def check_return_time_bound(
     params: HolubParams,
     depth: int = 2,
@@ -345,17 +427,7 @@ def check_return_time_bound(
 ) -> VerificationReport:
     """Factors of the prefix u_i recur within |u_i|+1 letters (windowed)."""
     source = holub_word(params)
-    report = VerificationReport(
-        "return-time-bound",
-        {
-            "word": source.descriptor,
-            "depth": depth,
-            "horizon": horizon,
-            "max_factor_len": max_factor_len,
-        },
-        0,
-        WINDOWED,
-    )
+    report = VerificationReport(status=WINDOWED)
     for i in range(1, depth + 1):
         u = holub_u(params, i)
         bound = len(u) + 1
@@ -391,6 +463,7 @@ def check_return_time_bound(
 # the minimal-return chain and its gain step
 
 
+@_claim("min-return-chain")
 def check_lexmin_return_words(
     source: WordSource,
     depth: int = 2,
@@ -405,17 +478,7 @@ def check_lexmin_return_words(
     alpha_k.
     """
     chain = alpha_chain(source, depth, horizon, repetition_bound)
-    report = VerificationReport(
-        "min-return-chain",
-        {
-            "word": source.descriptor,
-            "depth": depth,
-            "horizon": horizon,
-            "repetition_bound": repetition_bound,
-        },
-        0,
-        WINDOWED,
-    )
+    report = VerificationReport(status=WINDOWED)
     text = source.prefix(horizon)
     alphabet = source.alphabet
     for k in range(1, depth + 1):
@@ -483,12 +546,13 @@ def return_gain_step(
 
     The first two are exact facts about computed values; the last is only
     asserted when the windowed length condition holds, and the report says
-    which case applied.
+    which case applied.  The report carries ``params`` as given; it gets its
+    claim id when ``check_return_gain`` makes it.
     """
     m_lo = fact_lo.max_return_time
     mu_hi = fact_hi.min_return_length
     condition = mu_hi > 2 * m_lo
-    report = VerificationReport("return-gain", params or {}, 0, WINDOWED, notes=(
+    report = VerificationReport(params=params or {}, status=WINDOWED, notes=(
         f"windowed m_lo={m_lo}, mu_hi={mu_hi}; length condition "
         f"{'holds' if condition else 'FAILS'} in this window"
     ))
@@ -586,6 +650,7 @@ def build_gain_pair(
     )
 
 
+@_claim("return-gain")
 def check_return_gain(
     source: WordSource,
     k: int = 1,
@@ -595,28 +660,20 @@ def check_return_gain(
     repetition_bound: int | None = None,
 ) -> VerificationReport:
     """Run the per-block gain chain on nested minimal-return factorizations."""
-    params = {
-        "word": source.descriptor,
-        "k": k,
-        "kprime": kprime,
-        "window": window,
-        "horizon": horizon,
-        "repetition_bound": repetition_bound,
-    }
     if kprime is None:
-        fact_lo, fact_hi, kp = build_gain_pair(source, k, horizon, repetition_bound)
-        params["kprime"] = kp
+        fact_lo, fact_hi, kprime = build_gain_pair(source, k, horizon, repetition_bound)
     else:
         chain = alpha_chain(source, kprime, horizon, repetition_bound)
         fact_lo = _chain_factorization(source, chain, k, horizon)
         fact_hi = _chain_factorization(source, chain, kprime, horizon)
-    return return_gain_step(fact_lo, fact_hi, window, params=params)
+    return return_gain_step(fact_lo, fact_hi, window, params={"kprime": kprime})
 
 
 # ---------------------------------------------------------------------------
 # dyadic blocks
 
 
+@_claim("dyadic-gain")
 def check_dyadic_gain(
     source: WordSource,
     k: int = 1,
@@ -634,17 +691,9 @@ def check_dyadic_gain(
     """
     if horizon is None:
         horizon = 2 ** kprime * (window + 2)
-    params = {
-        "word": source.descriptor,
-        "k": k,
-        "kprime": kprime,
-        "window": window,
-        "horizon": horizon,
-        "repetition_bound": repetition_bound,
-    }
     certified = repetition_bound is not None
     e = repetition_bound if certified else repetition_exponent_estimate(source, horizon)
-    report = VerificationReport("dyadic-gain", params, 0, WINDOWED,
+    report = VerificationReport(params={"horizon": horizon}, status=WINDOWED,
                                 notes=f"e={e} ({'certified' if certified else 'windowed estimate'})")
     if 2 ** kprime < e * 2 ** (k + 1):
         report.undecided(f"2^{kprime} < {e} * 2^{k + 1}, level gap too small for this exponent")
@@ -717,17 +766,19 @@ def _random_word(rng: random.Random, n: int) -> str:
     return "".join(rng.choice("ab") for _ in range(n))
 
 
+@_claim("factor-bound")
 def check_factor_bound(
     trials: int = 10_000, maxlen: int = 14, seed: int = DEFAULT_SEED
 ) -> VerificationReport:
     """Local periods of a factor never exceed those of the enclosing word.
 
-    Compared at corresponding positions, over random short binary words.
+    Compared at corresponding positions, over random binary words of 3 to
+    maxlen letters.
     """
+    if maxlen < 3:
+        raise ValueError(f"maxlen must be at least 3, got {maxlen}")
     rng = random.Random(seed)
-    report = VerificationReport(
-        "factor-bound", {"trials": trials, "maxlen": maxlen, "seed": seed}, 0, PASS
-    )
+    report = VerificationReport()
     for start in range(0, trials, TRIAL_BLOCK):
         drawn = []
         for _ in range(min(TRIAL_BLOCK, trials - start)):
@@ -756,14 +807,18 @@ def check_factor_bound(
     return report
 
 
+@_claim("superadditivity")
 def check_superadditivity(
     trials: int = 10_000, maxlen: int = 14, seed: int = DEFAULT_SEED
 ) -> VerificationReport:
-    """|uv| h(uv) >= |u| h(u) + |v| h(v), as exact integer sums."""
+    """|uv| h(uv) >= |u| h(u) + |v| h(v), as exact integer sums.
+
+    Over random binary words of 2 to maxlen letters, split in two nonempty parts.
+    """
+    if maxlen < 2:
+        raise ValueError(f"maxlen must be at least 2, got {maxlen}")
     rng = random.Random(seed)
-    report = VerificationReport(
-        "superadditivity", {"trials": trials, "maxlen": maxlen, "seed": seed}, 0, PASS
-    )
+    report = VerificationReport()
     for start in range(0, trials, TRIAL_BLOCK):
         drawn = []
         for _ in range(min(TRIAL_BLOCK, trials - start)):
@@ -794,19 +849,20 @@ def _decode_word(n: int, code: int, letters: str = "ab") -> str:
     return "".join(letters[r] for r in row)
 
 
+def _sweep_limits(alphabet_size: int, maxlen: int) -> None:
+    if not 1 <= alphabet_size <= 3 or maxlen > 12:
+        raise ValueError("exhaustive sweep is limited to 1 <= alphabet_size <= 3, maxlen <= 12, "
+                         f"got alphabet_size {alphabet_size}, maxlen {maxlen}")
+
+
+@_claim("critical-exhaustive")
 def check_critical_exhaustive(alphabet_size: int = 2, maxlen: int = 12) -> VerificationReport:
     """Every short word attains its period as a local period somewhere."""
-    if alphabet_size > 3 or maxlen > 12:
-        raise ValueError("exhaustive sweep is limited to alphabet <= 3, length <= 12")
+    _sweep_limits(alphabet_size, maxlen)
     words, failures, bad_n, bad_code = (
         int(x) for x in kernels.active.cft_sweep(maxlen, alphabet_size)
     )
-    report = VerificationReport(
-        "critical-exhaustive",
-        {"alphabet_size": alphabet_size, "maxlen": maxlen},
-        words,
-        PASS,
-    )
+    report = VerificationReport(instances=words)
     if failures:
         letters = "abc"[:alphabet_size]
         report.fail({
@@ -817,23 +873,17 @@ def check_critical_exhaustive(alphabet_size: int = 2, maxlen: int = 12) -> Verif
     return report
 
 
+@_claim("oracle-equivalence")
 def check_oracle_equivalence(alphabet_size: int = 2, maxlen: int = 12) -> VerificationReport:
     """The incremental scan agrees with the brute-force candidate enumeration.
 
     Checked on every word up to maxlen, at every position.
     """
-    if alphabet_size > 3 or maxlen > 12:
-        raise ValueError("exhaustive sweep is limited to alphabet <= 3, length <= 12")
+    _sweep_limits(alphabet_size, maxlen)
     checks, mismatches, cft_fails, bad_n, bad_code, bad_i = (
         int(x) for x in kernels.active.oracle_sweep(maxlen, alphabet_size)
     )
-    report = VerificationReport(
-        "oracle-equivalence",
-        {"alphabet_size": alphabet_size, "maxlen": maxlen},
-        checks,
-        PASS,
-        notes=f"{checks} position checks",
-    )
+    report = VerificationReport(instances=checks, notes=f"{checks} position checks")
     if mismatches or cft_fails:
         letters = "abc"[:alphabet_size]
         report.fail({
@@ -850,6 +900,7 @@ def check_oracle_equivalence(alphabet_size: int = 2, maxlen: int = 12) -> Verifi
 # divergence trends
 
 
+@_claim("divergence")
 def divergence_report(
     source: WordSource,
     checkpoints: tuple[int, ...] = tuple(2 ** t for t in range(4, 13)),
@@ -867,15 +918,9 @@ def divergence_report(
     n = pts[-1]
     prof = profile(source, n=n, cap=cap)
     report = VerificationReport(
-        "divergence",
-        {
-            "word": source.descriptor,
-            "checkpoints": pts,
-            "cap": prof.cap,
-            "trend_from": trend_from,
-        },
-        len(pts),
-        WINDOWED,
+        params={"checkpoints": pts, "cap": prof.cap},
+        instances=len(pts),
+        status=WINDOWED,
         notes="empirical trend over a finite window; not evidence of a limit",
     )
     rows = []
@@ -909,6 +954,7 @@ def divergence_report(
     return report
 
 
+@_claim("peak-average")
 def check_peak_average(params: HolubParams, depth: int = 3, cap: int | None = None) -> VerificationReport:
     """Strict inequality h(d_j) > p(d_j)/d_j at every anchor position.
 
@@ -919,12 +965,7 @@ def check_peak_average(params: HolubParams, depth: int = 3, cap: int | None = No
     top = anchor_length(params, depth)
     use_cap = cap if cap is not None else predicted_peak_period(params, depth) + 1
     prof = profile(source, n=top, cap=use_cap)
-    report = VerificationReport(
-        "peak-average",
-        {"word": source.descriptor, "depth": depth, "cap": use_cap},
-        0,
-        PASS,
-    )
+    report = VerificationReport(params={"cap": use_cap})
     for j in range(1, depth + 1):
         d = anchor_length(params, j)
         h = prof.h_at(d)

@@ -20,11 +20,11 @@ from types import UnionType
 from typing import Literal, get_args, get_origin
 
 from . import checks
-from .checks import DEFAULT_SEED, VerificationReport
+from .checks import CLAIMS, DEFAULT_SEED, VerificationReport
 from .errors import DescriptorError, InsufficientWindowError
 from .factorize import alpha_chain, dyadic_factorization, return_factorization
 from .periods import PeriodProfile, local_period_table, profile
-from .words import HOLE, HolubParams, WordSource, parse_descriptor
+from .words import parse_descriptor
 
 LINE = 64  # letters per text line when rendering word prefixes
 
@@ -82,7 +82,7 @@ class ExperimentConfig:
         if self.action == "verify":
             owner, table = self.claim, _claim_spec(self.claim).params
         elif self.action == "report":
-            owner, table = self.action, CLAIMS["divergence"].params
+            owner, table = self.action, _REPORT_PARAMS
         elif self.action in _ACTION_PARAMS:
             owner, table = self.action, _ACTION_PARAMS[self.action]
         else:
@@ -108,6 +108,7 @@ _ACTION_PARAMS: dict[str, dict] = {
                   "alpha_power": (bool, False)},
     "alpha": {"depth": (int, 2), "horizon": (int, 10_000), "repetition_bound": (int | None, None)},
 }
+_REPORT_PARAMS = next(s.params for s in CLAIMS.values() if s.checker == "divergence_report")
 
 
 def _admits(annotation, value) -> bool:
@@ -133,83 +134,10 @@ def _check_type(what: str, annotation, value) -> None:
 
 
 # ---------------------------------------------------------------------------
-# claim registry
+# claim lookup
 
 
-@dataclass(frozen=True)
-class ClaimSpec:
-    """A claim and the checker in ``checks`` that verifies it.
-
-    Everything else is read off the checker's signature by ``_claim``.  The
-    checker is looked up by name on every run, so whatever ``checks`` holds
-    under that name at the time (a traced wrapper, say) is what runs.
-    """
-
-    claim_id: str
-    checker: str
-    kind: str  # "holub" | "source" | "none": what the first parameter takes
-    params: dict  # name -> (annotation, default) of every parameter after the subject
-
-    def run(self, params: dict, source: WordSource | None) -> VerificationReport:
-        """Run the checker; a pass that checked no instance decides nothing."""
-        rep = self._check(params, source)
-        if rep.status in (checks.PASS, checks.WINDOWED) and rep.instances == 0:
-            rep.undecided("no instance was checked")
-        return rep
-
-    def _check(self, params: dict, source: WordSource | None) -> VerificationReport:
-        checker = getattr(checks, self.checker)
-        if self.kind == "none":
-            return checker(**params)
-        if self.kind == "holub":
-            return checker(_holub_params(source), **params)
-        if source.has_holes:
-            raise ValueError(f"cannot check {self.claim_id} on {source.descriptor}: "
-                             f"it has holes ({HOLE!r})")
-        return checker(source, **params)
-
-
-def _holub_params(source: WordSource | None):
-    params = getattr(source, "params", None)
-    if params is None:
-        name = source.descriptor if source is not None else "(none)"
-        raise ValueError(f"this claim needs a holub-family word, got {name}")
-    return params
-
-
-_SUBJECT_KINDS = {HolubParams: "holub", WordSource: "source"}
-
-
-def _claim(claim_id: str, checker: str) -> ClaimSpec:
-    fn = getattr(checks, checker)
-    params = list(inspect.signature(fn, eval_str=True).parameters.values())
-    kind = _SUBJECT_KINDS.get(params[0].annotation, "none")
-    if kind != "none":
-        params = params[1:]
-    return ClaimSpec(claim_id, checker, kind, {p.name: (p.annotation, p.default) for p in params})
-
-
-CLAIMS = {spec.claim_id: spec for spec in (
-    _claim("big", "check_peak_periods"),
-    _claim("peak-witness", "check_peak_witness"),
-    _claim("block-closure", "check_block_closure"),
-    _claim("occurrence-rigidity", "check_occurrence_rigidity"),
-    _claim("letter-formula", "check_letter_formula"),
-    _claim("toeplitz-stages", "check_toeplitz_stages"),
-    _claim("return-time-bound", "check_return_time_bound"),
-    _claim("min-return-chain", "check_lexmin_return_words"),
-    _claim("return-gain", "check_return_gain"),
-    _claim("dyadic-gain", "check_dyadic_gain"),
-    _claim("factor-bound", "check_factor_bound"),
-    _claim("superadditivity", "check_superadditivity"),
-    _claim("critical-exhaustive", "check_critical_exhaustive"),
-    _claim("oracle-equivalence", "check_oracle_equivalence"),
-    _claim("divergence", "divergence_report"),
-    _claim("peak-average", "check_peak_average"),
-)}
-
-
-def _claim_spec(claim: str | None) -> ClaimSpec:
+def _claim_spec(claim: str | None):
     spec = CLAIMS.get(claim or "")
     if spec is None:
         known = ", ".join(sorted(CLAIMS))
@@ -568,7 +496,7 @@ def _build_parser() -> _Parser:
     # the config's own --seed stands for a checker's seed parameter
     param_flags(ve, {name: entry for spec in CLAIMS.values()
                      for name, entry in spec.params.items() if name != "seed"})
-    param_flags(common("report", "complexity trend at checkpoints"), CLAIMS["divergence"].params)
+    param_flags(common("report", "complexity trend at checkpoints"), _REPORT_PARAMS)
 
     ba = sub.add_parser("batch", help="run a JSON list of configs")
     ba.add_argument("--config", required=True)

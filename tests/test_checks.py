@@ -516,6 +516,17 @@ def test_fail_reports_always_carry_payload():
         assert (rep.counterexample is not None) == (rep.status == FAIL), rep.claim
 
 
+@pytest.mark.parametrize("call", [
+    lambda: check_factor_bound(trials=0),
+    lambda: check_occurrence_rigidity(P22, depth=0),
+    lambda: check_letter_formula(P22, n=0),
+], ids=["factor-bound", "occurrence-rigidity", "letter-formula"])
+def test_a_direct_call_that_checked_no_instance_is_inconclusive(call):
+    rep = call()
+    assert rep.status == INCONCLUSIVE and rep.instances == 0
+    assert rep.notes == "no instance was checked"
+
+
 def test_report_keeps_its_first_counterexample_and_every_note():
     rep = checks.VerificationReport("x", {}, 0, WINDOWED)
     rep.undecided("cap too small")

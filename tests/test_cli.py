@@ -80,6 +80,22 @@ def test_a_claim_that_checked_no_instance_is_inconclusive(capsys, args):
     assert rep["notes"].endswith("no instance was checked")
 
 
+@pytest.mark.parametrize("args,name", [
+    (["--claim", "critical-exhaustive", "--alphabet-size", "-2", "--maxlen", "4"], "alphabet_size"),
+    (["--claim", "critical-exhaustive", "--alphabet-size", "-1", "--maxlen", "3"], "alphabet_size"),
+    (["--claim", "oracle-equivalence", "--alphabet-size", "-3", "--maxlen", "4"], "alphabet_size"),
+    (["--claim", "factor-bound", "--maxlen", "0", "--trials", "3"], "maxlen must be at least 3"),
+    (["--claim", "superadditivity", "--maxlen", "1", "--trials", "3"], "maxlen must be at least 2"),
+], ids=["critical-alphabet-minus-2", "critical-alphabet-minus-1", "oracle-alphabet-minus-3",
+        "factor-bound-maxlen-0", "superadditivity-maxlen-1"])
+def test_a_parameter_out_of_its_range_is_a_parameter_error(capsys, args, name):
+    assert main(["verify", *args]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("parameter error:") and name in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_windowed_pass_exits_zero_with_warning(capsys):
     code = main(["verify", "--word", "fibonacci", "--claim", "min-return-chain"])
     captured = capsys.readouterr()
@@ -464,6 +480,42 @@ def test_claim_registry_is_complete():
     assert "big" in CLAIMS
     for spec in CLAIMS.values():
         assert spec.kind in ("holub", "source", "none")
+
+
+# (word, params) of one cheap call of every claim
+CHEAP_CALLS = {
+    "big": (HOLUB, {"depth": 1}),
+    "peak-witness": (HOLUB, {"depth": 1}),
+    "block-closure": (HOLUB, {"depth": 1}),
+    "occurrence-rigidity": (HOLUB, {"depth": 1, "horizon": 100}),
+    "letter-formula": (HOLUB, {"n": 100}),
+    "toeplitz-stages": (HOLUB, {"n": 100}),
+    "return-time-bound": (HOLUB, {"depth": 1}),
+    "min-return-chain": ("fibonacci", {"depth": 1, "horizon": 500}),
+    "return-gain": ("fibonacci", {"window": 2, "horizon": 2000}),
+    "dyadic-gain": ("thue-morse", {"kprime": 3, "window": 2, "repetition_bound": 2}),
+    "factor-bound": (None, {"trials": 10}),
+    "superadditivity": (None, {"trials": 10}),
+    "critical-exhaustive": (None, {"maxlen": 4}),
+    "oracle-equivalence": (None, {"maxlen": 4}),
+    "divergence": ("fibonacci", {"checkpoints": [16, 32]}),
+    "peak-average": (HOLUB, {"depth": 1}),
+}
+
+
+@pytest.mark.parametrize("claim", sorted(CLAIMS))
+def test_every_claim_records_exactly_its_declared_parameters(tmp_path, claim):
+    spec = CLAIMS[claim]
+    word, params = CHEAP_CALLS[claim]
+    out = tmp_path / "report.json"
+    run(ExperimentConfig(action="verify", word=word, claim=claim, params=params,
+                         format="json", out=str(out)))
+    rep = json.loads(out.read_text(encoding="utf-8"))
+    assert rep["claim"] == claim
+    expected = set(spec.params) | ({"word"} if spec.kind != "none" else set())
+    assert set(rep["params"]) == expected
+    for name, value in params.items():
+        assert rep["params"][name] == value, name
 
 
 def test_every_claim_parameter_has_a_checked_type():
