@@ -24,6 +24,8 @@ import random
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from . import kernels
 from .errors import InsufficientWindowError
 from .factorize import (
@@ -38,6 +40,7 @@ from .factorize import (
 )
 from .periods import (
     CapExceeded,
+    factor_local_periods,
     is_lyndon,
     is_unbordered,
     local_period_infinite,
@@ -57,6 +60,7 @@ from .words import (
     holub_word,
     predicted_peak_period,
     predicted_witness,
+    random_binary_words,
 )
 
 PASS = "pass"
@@ -65,9 +69,12 @@ WINDOWED = "windowed-pass"
 INCONCLUSIVE = "inconclusive"
 
 DEFAULT_SEED = 90407
-# random trials drawn and scored at a time, so a trial checker's memory stays
-# bounded whatever its trial count; the default 10,000 trials are one block
+# random trials drawn and scored at a time, and the most letters one block's
+# (trials x maxlen) letter matrix may hold, so a trial checker's memory stays
+# bounded whatever its trial count and maxlen; the default 10,000 trials of
+# up to 14 letters are one block
 TRIAL_BLOCK = 1 << 14
+TRIAL_LETTERS = 1 << 18
 
 
 @dataclass
@@ -152,8 +159,9 @@ def _claim(claim_id: str):
 
     Every report it returns gets the claim id, and its ``params`` record the
     call: the subject's descriptor as ``word``, every other argument under
-    its own name, then whatever the checker resolved itself.  A pass that
-    checked no instance becomes inconclusive.
+    its own name, then whatever the checker resolved itself.  A negative int
+    argument other than a seed is refused, and a pass that checked no
+    instance becomes inconclusive.
     """
 
     def declare(checker):
@@ -169,6 +177,10 @@ def _claim(claim_id: str):
         def declared(*args, **kwargs):
             call = signature.bind(*args, **kwargs)
             call.apply_defaults()
+            for name, value in call.arguments.items():
+                # every int parameter counts or bounds something, except a seed
+                if type(value) is int and value < 0 and name != "seed":
+                    raise ValueError(f"{name} must not be negative, got {value}")
             report = checker(*args, **kwargs)
             recorded = dict(call.arguments)
             if describe is not None:
@@ -762,8 +774,38 @@ def check_dyadic_gain(
 # randomized inequality trials and exhaustive small-word sweeps
 
 
-def _random_word(rng: random.Random, n: int) -> str:
-    return "".join(rng.choice("ab") for _ in range(n))
+def _spell(row: np.ndarray, letters: str = "ab") -> str:
+    # a row of letter codes as a word
+    return "".join(letters[r] for r in row.tolist())
+
+
+def _trial_blocks(trials: int, maxlen: int):
+    # the trials of each block: TRIAL_BLOCK, fewer when their (trials x
+    # maxlen) letter matrix would pass TRIAL_LETTERS
+    block = max(1, min(TRIAL_BLOCK, TRIAL_LETTERS // maxlen))
+    for start in range(0, trials, block):
+        yield min(block, trials - start)
+
+
+def _below(u: np.ndarray, m) -> np.ndarray:
+    # each 32-bit draw scaled into [0, m) by multiply-shift; the bias of a
+    # value is below m / 2^32, under 2^-27 for m < 16
+    return ((u * np.asarray(m, np.uint64)) >> 32).astype(np.int64)
+
+
+def _factor_bound_draws(rng: random.Random, rows: int, maxlen: int):
+    # words of 3..maxlen letters and a factor w[a:b] of each, 0 <= a < b <= n
+    letters, (un, ua, ub) = random_binary_words(rng, rows, maxlen, 3)
+    n = 3 + _below(un, maxlen - 2)
+    a = _below(ua, n)
+    return letters, n, a, a + 1 + _below(ub, n - a)
+
+
+def _superadditivity_draws(rng: random.Random, rows: int, maxlen: int):
+    # words of 2..maxlen letters and a split 1 <= c < n of each
+    letters, (un, uc) = random_binary_words(rng, rows, maxlen, 2)
+    n = 2 + _below(un, maxlen - 1)
+    return letters, n, 1 + _below(uc, n - 1)
 
 
 @_claim("factor-bound")
@@ -779,31 +821,30 @@ def check_factor_bound(
         raise ValueError(f"maxlen must be at least 3, got {maxlen}")
     rng = random.Random(seed)
     report = VerificationReport()
-    for start in range(0, trials, TRIAL_BLOCK):
-        drawn = []
-        for _ in range(min(TRIAL_BLOCK, trials - start)):
-            n = rng.randint(3, maxlen)
-            w = _random_word(rng, n)
-            a = rng.randint(0, n - 1)
-            b = rng.randint(a + 1, n)
-            drawn.append((w, a, w[a:b]))
-        table = local_period_table(x for w, _, v in drawn for x in (w, v))
-        for w, a, v in drawn:
-            pw, pv = table[w], table[v]
-            report.instances += 1
-            over = pv > pw[a:a + len(v)]
-            if over.any():
-                i = int(over.argmax()) + 1
-                report.fail({
-                    "op": "local_period",
-                    "word": w,
-                    "factor": v,
-                    "offset": a,
-                    "i": i,
-                    "factor_lp": int(pv[i - 1]),
-                    "word_lp": int(pw[a + i - 1]),
-                })
-                return report
+    for rows in _trial_blocks(trials, maxlen):
+        letters, n, a, b = _factor_bound_draws(rng, rows, maxlen)
+        whole, part = factor_local_periods(
+            letters, np.concatenate([np.zeros_like(a), a]), np.concatenate([n, b - a])
+        ).reshape(2, rows, maxlen)
+        over = part > whole
+        bad = np.flatnonzero(over.any(1))
+        if not bad.size:
+            report.instances += rows
+            continue
+        r = int(bad[0])
+        w, lo, hi = _spell(letters[r, :n[r]]), int(a[r]), int(b[r])
+        col = int(over[r].argmax())
+        report.instances += r + 1
+        report.fail({
+            "op": "local_period",
+            "word": w,
+            "factor": w[lo:hi],
+            "offset": lo,
+            "i": col - lo + 1,
+            "factor_lp": int(part[r, col]),
+            "word_lp": int(whole[r, col]),
+        })
+        return report
     return report
 
 
@@ -819,34 +860,33 @@ def check_superadditivity(
         raise ValueError(f"maxlen must be at least 2, got {maxlen}")
     rng = random.Random(seed)
     report = VerificationReport()
-    for start in range(0, trials, TRIAL_BLOCK):
-        drawn = []
-        for _ in range(min(TRIAL_BLOCK, trials - start)):
-            n = rng.randint(2, maxlen)
-            w = _random_word(rng, n)
-            drawn.append((w, rng.randint(1, n - 1)))
-        words = (x for w, c in drawn for x in (w, w[:c], w[c:]))
-        sums = {x: int(lps.sum()) for x, lps in local_period_table(words).items()}
-        for w, c in drawn:
-            s_w, s_u, s_v = sums[w], sums[w[:c]], sums[w[c:]]
-            report.instances += 1
-            if s_w < s_u + s_v:
-                report.fail({
-                    "op": "local_period_sum",
-                    "word": w,
-                    "split": c,
-                    "whole": s_w,
-                    "left": s_u,
-                    "right": s_v,
-                })
-                return report
+    for rows in _trial_blocks(trials, maxlen):
+        letters, n, c = _superadditivity_draws(rng, rows, maxlen)
+        zeros = np.zeros_like(c)
+        whole, left, right = factor_local_periods(
+            letters, np.concatenate([zeros, zeros, c]), np.concatenate([n, c, n - c])
+        ).reshape(3, rows, maxlen).sum(2, dtype=np.int64)
+        bad = np.flatnonzero(whole < left + right)
+        if not bad.size:
+            report.instances += rows
+            continue
+        r = int(bad[0])
+        report.instances += r + 1
+        report.fail({
+            "op": "local_period_sum",
+            "word": _spell(letters[r, :n[r]]),
+            "split": int(c[r]),
+            "whole": int(whole[r]),
+            "left": int(left[r]),
+            "right": int(right[r]),
+        })
+        return report
     return report
 
 
 def _decode_word(n: int, code: int, letters: str = "ab") -> str:
     # row `code` of the sweeps' own letter matrix, so the order cannot drift
-    row = kernels.active.word_matrix(n, len(letters), code, code + 1)[0]
-    return "".join(letters[r] for r in row)
+    return _spell(kernels.active.word_matrix(n, len(letters), code, code + 1)[0], letters)
 
 
 def _sweep_limits(alphabet_size: int, maxlen: int) -> None:

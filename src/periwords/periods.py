@@ -300,6 +300,25 @@ def local_period_table(words) -> dict[str, np.ndarray]:
     return table
 
 
+def factor_local_periods(letters: np.ndarray, start: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """Local periods of factors of the rows of a letter matrix, each in the columns it spans.
+
+    Factor k is row k % rows of ``letters`` at columns start[k] .. start[k] +
+    length[k] - 1; row k of the result holds its local periods in those
+    columns and 0 elsewhere, in the least unsigned dtype that holds the row
+    length. The factors of each length are gathered and scanned in one
+    local_period_matrix call.
+    """
+    rows, n = letters.shape
+    out = np.zeros((start.size, n), np.min_scalar_type(n))
+    for m in range(1, n + 1):
+        k = np.flatnonzero(length == m)[:, None]
+        if k.size:
+            cols = start[k] + np.arange(m)
+            out[k, cols] = kernels.active.local_period_matrix(letters[k % rows, cols])
+    return out
+
+
 def h_of(w: str) -> Fraction:
     """Mean of the local periods over all positions of a finite word."""
     if not w:

@@ -9,6 +9,7 @@ The hole symbol "?" is reserved for partially defined words (Toeplitz bases)
 and is never a member of any alphabet.
 """
 
+import random
 import threading
 from dataclasses import dataclass
 from typing import Callable
@@ -99,6 +100,21 @@ def encode(word: str, alphabet: Alphabet | None = None, allow_hole: bool = False
         return np.frombuffer(word.encode("ascii"), np.uint8)
     alphabet.validate(word, allow_hole=allow_hole)
     return np.frombuffer(word.encode("ascii").translate(alphabet._trans), np.uint8).copy()
+
+
+def random_binary_words(rng: random.Random, rows: int, n: int, draws: int):
+    """``rows`` random binary words of ``n`` letters, and ``draws`` random 32-bit numbers per word.
+
+    Letter t of word r is bit r * n + t of one ``rng.getrandbits`` call (0 is
+    the first letter), and number j of word r is 32-bit word r * draws + j of
+    a second one, both least significant first. Returns the (rows, n) uint8
+    letter matrix and a (draws, rows) uint64 array.
+    """
+    size = rows * n
+    bits = np.frombuffer(rng.getrandbits(size).to_bytes((size + 7) // 8, "little"), np.uint8)
+    letters = np.unpackbits(bits, count=size, bitorder="little").reshape(rows, n)
+    numbers = rng.getrandbits(32 * draws * rows).to_bytes(4 * draws * rows, "little")
+    return letters, np.frombuffer(numbers, "<u4").reshape(rows, draws).T.astype(np.uint64)
 
 
 def lex_compare(w1: str, w2: str, alphabet: Alphabet = BINARY) -> int:

@@ -3,6 +3,7 @@ fail payloads that make counterexamples replayable."""
 
 import ast
 import random
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -306,26 +307,45 @@ def test_trials_are_seed_deterministic():
     assert a == b
 
 
-# the per-trial loops the batched trial checkers replaced: the same draws in
-# the same RNG order, each trial scored as soon as it is drawn
+# the per-trial loops the batched trial checkers replaced, over the same
+# draws: the letters and the 32-bit draws of each block are read back from
+# the same random.Random(seed) calls with int shifts alone, and each trial is
+# scored as soon as it is decoded
+
+
+def _decoded_draws(trials, maxlen, seed, count):
+    rng = random.Random(seed)
+    block = max(1, min(checks.TRIAL_BLOCK, checks.TRIAL_LETTERS // maxlen))
+    for start in range(0, trials, block):
+        rows = min(block, trials - start)
+        letters = rng.getrandbits(rows * maxlen)
+        draws = rng.getrandbits(32 * count * rows)
+        for r in range(rows):
+            word = letters >> (r * maxlen)
+            yield word, [draws >> (32 * (r * count + j)) & 0xFFFFFFFF for j in range(count)]
+
+
+def _below(u, m):
+    return u * m >> 32
+
+
+def _spelled(word, n):
+    return "".join("ab"[word >> t & 1] for t in range(n))
 
 
 def _factor_bound_trials(trials, maxlen, seed):
-    rng = random.Random(seed)
-    for _ in range(trials):
-        n = rng.randint(3, maxlen)
-        w = "".join(rng.choice("ab") for _ in range(n))
-        a = rng.randint(0, n - 1)
-        b = rng.randint(a + 1, n)
+    for word, (un, ua, ub) in _decoded_draws(trials, maxlen, seed, 3):
+        n = 3 + _below(un, maxlen - 2)
+        w = _spelled(word, n)
+        a = _below(ua, n)
+        b = a + 1 + _below(ub, n - a)
         yield w, a, w[a:b]
 
 
 def _superadditivity_trials(trials, maxlen, seed):
-    rng = random.Random(seed)
-    for _ in range(trials):
-        n = rng.randint(2, maxlen)
-        w = "".join(rng.choice("ab") for _ in range(n))
-        yield w, rng.randint(1, n - 1)
+    for word, (un, uc) in _decoded_draws(trials, maxlen, seed, 2):
+        n = 2 + _below(un, maxlen - 1)
+        yield _spelled(word, n), 1 + _below(uc, n - 1)
 
 
 def _loop_factor_bound(trials, maxlen, seed, lps):
@@ -369,31 +389,49 @@ _TRIAL_CHECKERS = {
 def test_trial_checker_reports_a_planted_failure_like_the_loop(claim, block, trials, at, monkeypatch):
     checker, draws, loop = _TRIAL_CHECKERS[claim]
     seed, maxlen = 5, 14
+    monkeypatch.setattr(checks, "TRIAL_BLOCK", block)
     words = [t[0] for t in draws(trials, maxlen, seed)]
     # the first trial from `at` on whose word is new: zeroing that word's
     # local periods makes this trial the first to fail in either claim
     t = next(k for k in range(at, trials) if words[k] not in words[:k])
     target = words[t]
-    real = periods.local_period_table
+    letters = np.array(["ab".index(x) for x in target], np.uint8)
+    real = kernels.active.local_period_matrix
 
-    def planted(ws):
-        table = real(ws)
-        if target in table:
-            table[target] = np.zeros_like(table[target])
-        return table
+    def planted(rows):
+        out = real(rows)
+        if rows.shape[1] == letters.size:
+            out[(rows == letters).all(1)] = 0
+        return out
 
     def lps(x):
         row = periods.local_periods(x)
         return np.zeros_like(row) if x == target else row
 
-    monkeypatch.setattr(checks, "TRIAL_BLOCK", block)
-    monkeypatch.setattr(checks, "local_period_table", planted)
+    monkeypatch.setattr(kernels.active, "local_period_matrix", planted)
     rep = checker(trials=trials, maxlen=maxlen, seed=seed)
     instances, counterexample = loop(trials, maxlen, seed, lps)
     assert instances == t + 1
     assert rep.status == FAIL
     assert (rep.instances, rep.counterexample) == (instances, counterexample)
     assert counterexample["word"] == target
+
+
+@pytest.mark.parametrize("claim", sorted(_TRIAL_CHECKERS))
+def test_trial_checker_reports_the_first_of_many_planted_failures(claim, monkeypatch):
+    # zeroing the local periods of every 5-letter word fails many trials of
+    # the one block; the report names the first in draw order
+    checker, _, loop = _TRIAL_CHECKERS[claim]
+    real = kernels.active.local_period_matrix
+
+    def lps(x):
+        return periods.local_periods(x) * (len(x) != 5)
+
+    monkeypatch.setattr(kernels.active, "local_period_matrix", lambda rows: real(rows) * (rows.shape[1] != 5))
+    rep = checker(trials=3000, maxlen=14, seed=5)
+    instances, counterexample = loop(3000, 14, 5, lps)
+    assert counterexample is not None and instances < 100
+    assert (rep.instances, rep.counterexample) == (instances, counterexample)
 
 
 @pytest.mark.parametrize("claim", sorted(_TRIAL_CHECKERS))
@@ -404,6 +442,60 @@ def test_trial_checker_passes_like_the_loop(claim, block, monkeypatch):
     rep = checker(trials=500, maxlen=14, seed=5)
     assert (rep.status, rep.instances) == (PASS, 500)
     assert loop(500, 14, 5, periods.local_periods) == (500, None)
+
+
+def test_trial_draws_cover_every_factor_and_split_and_decode_alike():
+    # at maxlen 5, 3000 trials draw every (n, a, b) with 0 <= a < b <= n and
+    # every (n, c) with 1 <= c < n, and nothing else; the pure-int decoding
+    # of the same draws spells the same trials
+    letters, n, a, b = checks._factor_bound_draws(random.Random(11), 3000, 5)
+    drawn = list(zip(n.tolist(), a.tolist(), b.tolist()))
+    assert set(drawn) == {(n, a, b) for n in range(3, 6) for a in range(n) for b in range(a + 1, n + 1)}
+    words = [checks._spell(row[:k]) for row, (k, _, _) in zip(letters, drawn)]
+    assert list(_factor_bound_trials(3000, 5, 11)) == [
+        (w, a, w[a:b]) for w, (_, a, b) in zip(words, drawn)]
+    letters, n, c = checks._superadditivity_draws(random.Random(11), 3000, 5)
+    drawn = list(zip(n.tolist(), c.tolist()))
+    assert set(drawn) == {(n, c) for n in range(2, 6) for c in range(1, n)}
+    assert list(_superadditivity_trials(3000, 5, 11)) == [
+        (checks._spell(row[:k]), c) for row, (k, c) in zip(letters, drawn)]
+
+
+@pytest.mark.parametrize("checker,maxlen", [
+    (check_factor_bound, 3), (check_factor_bound, 40),
+    (check_superadditivity, 2), (check_superadditivity, 40),
+], ids=["factor-bound-3", "factor-bound-40", "superadditivity-2", "superadditivity-40"])
+def test_trial_checker_passes_at_either_end_of_maxlen(checker, maxlen):
+    rep = checker(trials=2000, maxlen=maxlen, seed=3)
+    assert (rep.status, rep.instances) == (PASS, 2000)
+
+
+def test_a_long_maxlen_draws_smaller_blocks(monkeypatch):
+    sizes = []
+    real = checks.random_binary_words
+
+    def spy(rng, rows, n, draws):
+        sizes.append(rows * n)
+        return real(rng, rows, n, draws)
+
+    monkeypatch.setattr(checks, "TRIAL_LETTERS", 400)
+    monkeypatch.setattr(checks, "random_binary_words", spy)
+    rep = check_superadditivity(trials=95, maxlen=40, seed=3)
+    assert (rep.status, rep.instances) == (PASS, 95)
+    assert sizes == [400] * 9 + [200]
+
+
+@pytest.mark.parametrize("checker", [check_factor_bound, check_superadditivity],
+                         ids=["factor-bound", "superadditivity"])
+def test_trial_checker_memory_peak_stays_under_2_mb(checker):
+    checker(trials=10)
+    tracemalloc.start()
+    try:
+        checker(trials=10_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 # ---------------------------------------------------------------------------

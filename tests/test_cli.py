@@ -86,8 +86,13 @@ def test_a_claim_that_checked_no_instance_is_inconclusive(capsys, args):
     (["--claim", "oracle-equivalence", "--alphabet-size", "-3", "--maxlen", "4"], "alphabet_size"),
     (["--claim", "factor-bound", "--maxlen", "0", "--trials", "3"], "maxlen must be at least 3"),
     (["--claim", "superadditivity", "--maxlen", "1", "--trials", "3"], "maxlen must be at least 2"),
+    (["--claim", "factor-bound", "--trials", "-5"], "trials must not be negative"),
+    (["--claim", "superadditivity", "--trials", "-1"], "trials must not be negative"),
+    (["--claim", "big", "--word", "holub:n=2,2", "--depth", "-1"], "depth must not be negative"),
+    (["--claim", "critical-exhaustive", "--maxlen", "-3"], "maxlen must not be negative"),
 ], ids=["critical-alphabet-minus-2", "critical-alphabet-minus-1", "oracle-alphabet-minus-3",
-        "factor-bound-maxlen-0", "superadditivity-maxlen-1"])
+        "factor-bound-maxlen-0", "superadditivity-maxlen-1", "factor-bound-trials-minus-5",
+        "superadditivity-trials-minus-1", "big-depth-minus-1", "critical-maxlen-minus-3"])
 def test_a_parameter_out_of_its_range_is_a_parameter_error(capsys, args, name):
     assert main(["verify", *args]) == 1
     captured = capsys.readouterr()

@@ -22,6 +22,7 @@ from periwords.periods import (
     CapExceeded,
     PeriodProfile,
     critical_positions,
+    factor_local_periods,
     h_of,
     is_lyndon,
     is_primitive,
@@ -379,3 +380,19 @@ def test_table_rejects_holes_and_takes_empty_input():
     with pytest.raises(ValueError, match="cannot scan a word with holes"):
         local_period_table(["?"])
     assert local_period_table([]) == {}
+
+
+def test_factor_local_periods_match_the_loop_in_place():
+    # every factor of rows of a random 3-letter matrix, each row used by
+    # several factors, against the loop on the factor's own letters
+    rng = np.random.default_rng(SEED)
+    letters = rng.integers(0, 3, (40, 16), dtype=np.uint8)
+    start = rng.integers(0, 16, 200)
+    length = np.array([rng.integers(1, 17 - s) for s in start])
+    out = factor_local_periods(letters, start, length)
+    assert out.dtype == np.uint8
+    for k in range(start.size):
+        s, m = start[k], length[k]
+        row = np.zeros(16, np.int64)
+        row[s:s + m] = kernels.active.local_periods_finite(letters[k % 40, s:s + m].copy())
+        assert out[k].tolist() == row.tolist()
