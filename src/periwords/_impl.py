@@ -8,9 +8,10 @@ the loops they replaced: local_periods_stream; oracle_sweep and cft_sweep
 with the helpers the sweeps use (word_matrix, local_period_matrix,
 period_column, oracle_period_matrix, first_failure); the search kernels
 occurrence_list and max_run_exponent; and max_power, which reads the hits of
-occurrence_list. local_period_matrix also serves the library:
-periods.local_period_table scans each large group of equal-length words
-with it, and a small group row by row with local_periods_finite, and
+occurrence_list. local_period_matrix applies the window rule stated in
+periods, one shift at a time for every row and position; it also serves the
+library: periods.local_period_table scans each large group of equal-length
+words with it, and a small group row by row with local_periods_finite, and
 periods.factor_local_periods the factors of each length of a letter matrix.
 Positions handed to these functions are 1-based, matching the library API.
 """
@@ -277,30 +278,26 @@ def word_matrix(n, nletters, lo=0, hi=None):
 
 def local_period_matrix(words):
     # local_period_finite at every position of every row: column i - 1 holds
-    # p_w(i). Each step tests one (i, L) shape on the rows still open.
+    # p_w(i), the least L with w[j] == w[j+L] for every j in the window
+    # [max(0, i-L), min(i, n-L)). One step per shift L serves every row and
+    # position: a running count of the mismatches at shift L, read at both
+    # window ends, closes each open position (still 0) whose window holds
+    # none. The scan runs on the transpose, so that each numpy call of a
+    # step works on all rows at once.
     rows, n = words.shape
-    out = np.empty((rows, n), np.int64)
-    for i in range(1, n + 1):
-        lv = n - i
-        col = np.full(rows, n, np.int64)  # L = n always matches
-        todo = np.arange(rows)
-        for L in range(1, n):
-            if todo.size == 0:
-                break
-            w = words[todo]
-            if L <= i and L <= lv:
-                ok = (w[:, i - L:i] == w[:, i:i + L]).all(1)
-            elif L <= lv:
-                ok = (w[:, :i] == w[:, L:L + i]).all(1)
-            elif L <= i:
-                ok = (w[:, i:] == w[:, i - L:i - L + lv]).all(1)
-            else:
-                lo = max(L - i + 1, 1)
-                ok = (w[:, i + lo - 1:] == w[:, lo - L + i - 1:lv - L + i]).all(1)
-            col[todo[ok]] = L
-            todo = todo[~ok]
-        out[:, i - 1] = col
-    return out
+    wt = np.ascontiguousarray(words.T)
+    out = np.zeros((n, rows), np.min_scalar_type(n))
+    miss = np.zeros_like(out)
+    i = np.arange(1, n + 1)
+    for L in range(1, n):
+        np.cumsum(wt[:n - L] != wt[L:], axis=0, out=miss[1:n - L + 1])
+        ok = miss[np.minimum(i, n - L)] == miss[np.maximum(0, i - L)]
+        ok &= out == 0
+        out[ok] = L
+        if out.all():
+            break
+    out[out == 0] = n  # L = n: the window is empty
+    return out.T.astype(np.int64)
 
 
 def period_column(words):

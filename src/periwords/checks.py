@@ -529,18 +529,6 @@ def check_lexmin_return_words(
     return report
 
 
-def _constituents(fact_lo: ReturnFactorization, fact_hi: ReturnFactorization, j: int):
-    """Level-lo blocks composing the j-th level-hi block, or None if the
-    hi boundaries are not a subset of the lo boundaries there."""
-    lo_b = fact_lo.boundaries()
-    hi_b = fact_hi.boundaries()
-    start, stop = hi_b[j - 1], hi_b[j]
-    if start not in lo_b or stop not in lo_b:
-        return None
-    s, t = lo_b.index(start), lo_b.index(stop)
-    return fact_lo.returns[s:t]
-
-
 def return_gain_step(
     fact_lo: ReturnFactorization,
     fact_hi: ReturnFactorization,
@@ -573,7 +561,12 @@ def return_gain_step(
             f"only {len(fact_hi.returns)} high-level blocks, wanted {window}"
         )
     blocks = fact_hi.returns[:window]
-    constituents = [_constituents(fact_lo, fact_hi, j) for j in range(1, window + 1)]
+    # the level-lo blocks between the two ends of each level-hi block, or None
+    # where the hi boundaries are not lo boundaries
+    at = {b: k for k, b in enumerate(fact_lo.boundaries())}
+    hi_b = fact_hi.boundaries()
+    constituents = [fact_lo.returns[at[s]:at[t]] if s in at and t in at else None
+                    for s, t in zip(hi_b, hi_b[1:window + 1])]
     table = local_period_table(blocks + [c for parts in constituents if parts for c in parts])
     for j, (w, parts) in enumerate(zip(blocks, constituents), 1):
         report.instances += 1

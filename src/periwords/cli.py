@@ -13,7 +13,6 @@ import io
 import json
 import os
 import sys
-import tempfile
 from dataclasses import asdict, dataclass, field, fields, replace
 from fractions import Fraction
 from types import UnionType
@@ -150,16 +149,13 @@ def _claim_spec(claim: str | None):
 
 
 def _atomic_write(path: str, data: str) -> None:
-    # a fresh temp file beside path, so no two writers ever share one
-    fd, tmp = tempfile.mkstemp(prefix=os.path.basename(path) + ".", suffix=".tmp",
-                               dir=os.path.dirname(path) or ".")
+    # a fresh temp file beside path, so no two writers ever share one; "x"
+    # creates it with the mode open(path, "w") gives, under the umask
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    f = open(tmp, "x", encoding="utf-8")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as f:
+        with f:
             f.write(data)
-        # mkstemp makes the file 0o600; give it the mode open(path, "w") gives
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -251,6 +247,17 @@ def _report_text(rep: VerificationReport) -> str:
 # exit code of each outcome that is not a pass, in order of priority: a batch
 # exits with the code of the first outcome any of its runs produced
 _EXIT = {checks.FAIL: 2, "error": 1, checks.INCONCLUSIVE: 3}
+
+# the expected errors and the diagnostic prefix of each, in the order they
+# are matched: DescriptorError is a ValueError, and a TypeError is a
+# parameter of the wrong type, e.g. "depth": "3"
+_ERRORS = {
+    DescriptorError: "descriptor error",
+    InsufficientWindowError: "window error",
+    OSError: "output error",
+    ValueError: "parameter error",
+    TypeError: "parameter error",
+}
 
 
 # ---------------------------------------------------------------------------
@@ -425,8 +432,7 @@ def run_batch(config_path: str, out_dir: str) -> int:
             _, status = _RUNNERS[cfg.action](cfg)
             row["status"] = status or "ok"
             row["out"] = os.path.basename(cfg.out)
-        except (DescriptorError, InsufficientWindowError, ValueError, TypeError, OSError) as e:
-            # TypeError: a parameter of the wrong type, e.g. "depth": "3"
+        except tuple(_ERRORS) as e:
             row["status"] = "error"
             row["error"] = f"{type(e).__name__}: {e}"
         summary.append(row)
@@ -518,17 +524,9 @@ def main(argv: list[str] | None = None) -> int:
         if ns.action == "batch":
             return run_batch(ns.config, ns.out_dir)
         return run(_config_from_args(ns))
-    except DescriptorError as e:
-        print(f"descriptor error: {e}", file=sys.stderr)
-        return 1
-    except InsufficientWindowError as e:
-        print(f"window error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
-        print(f"output error: {e}", file=sys.stderr)
-        return 1
-    except (ValueError, TypeError) as e:
-        print(f"parameter error: {e}", file=sys.stderr)
+    except tuple(_ERRORS) as e:
+        prefix = next(p for t, p in _ERRORS.items() if isinstance(e, t))
+        print(f"{prefix}: {e}", file=sys.stderr)
         return 1
 
 

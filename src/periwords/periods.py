@@ -3,9 +3,14 @@
 The local period at position i of w (split u = w[:i], v = w[i:]) is the
 length of the shortest nonempty word that is suffix-comparable with u and
 prefix-comparable with v, where "comparable" means one word is a suffix
-(resp. prefix) of the other. For a finite word it is always defined and
-equals 1 at the last position; for an infinite word the search is bounded
-by an explicit cap and may come back CapExceeded.
+(resp. prefix) of the other. For a finite word of length n this is one
+window rule: p_w(i) is the least L >= 1 with w[j] == w[j+L] for every j in
+[max(0, i-L), min(i, n-L)) (0-based letters), that is, the least L that is
+a period of w[max(0, i-L):min(n, i+L)]. L = n always qualifies, because its
+window is empty. The four match shapes reported with a witness (square,
+right, left and double overhang) only say which window end is cut by an
+end of w. For an infinite word the search is bounded by an explicit cap
+and may come back CapExceeded.
 
 All averaged quantities are exact fractions.Fraction values; nothing here
 rounds.
@@ -25,10 +30,16 @@ LEFT_OVERHANG = "left-overhang"
 DOUBLE_OVERHANG = "double-overhang"
 
 # distinct words of one length from which local_period_table scans them as
-# one matrix; below it the per-row loop is faster. One row is 7-10x slower
-# through the matrix, and the two break even at about 20 rows of 3 letters,
-# 32 rows of 10-14 letters and 48 rows of 24-48 letters.
-MATRIX_MIN_WORDS = 32
+# one matrix; below it the per-row loop is faster. Matrix time over loop
+# time on random binary words, best of 25 (they break even at 10-12 rows of
+# up to 14 letters, and at 2-4 rows of 32-64 letters):
+#   rows:          2     4     8    12    16    32
+#   3 letters    4.58  2.27  1.22  0.82  0.64  0.32
+#   10 letters   3.57  1.85  1.44  1.04  0.37  0.22
+#   14 letters   3.28  2.12  0.77  0.50  0.40  0.23
+#   32 letters   1.65  0.99  0.46  0.33  0.25  0.13
+#   64 letters   0.88  0.43  0.22  0.19  0.13  0.05
+MATRIX_MIN_WORDS = 12
 
 
 @dataclass(frozen=True)
@@ -100,32 +111,18 @@ def _case_of(length: int, i: int, lv: int) -> str:
 def local_period(w: str, i: int) -> RepetitionWitness:
     """Shortest repetition word at position i of the finite word w.
 
-    The scan tries lengths upward; at each length exactly one of the four
-    match shapes applies, and length |w| always matches, so the minimum the
-    scan returns is certified by exhaustion of everything shorter.
+    The scan tries lengths upward under the window rule, and length |w|
+    always qualifies, so the minimum it returns is certified by exhaustion
+    of everything shorter. The witness starts with v = w[i:]; when it is
+    longer than v, the letters after v are w[|w|-L:i], the end of u that
+    the window rule made agree with it.
     """
     n = len(w)
     if not 1 <= i <= n:
         raise ValueError(f"position {i} outside 1..{n}")
     L = int(kernels.active.local_period_finite(encode(w), i))
-    lv = n - i
-    case = _case_of(L, i, lv)
-    if case in (SQUARE, RIGHT_OVERHANG):
-        word = w[i:i + L]
-    elif case == LEFT_OVERHANG:
-        word = w[i - L:i]
-    else:
-        # both ends overhang: r carries v as prefix and u as suffix, and for
-        # L <= |w| those two parts cover every letter of r
-        chars = [""] * L
-        v = w[i:]
-        for k in range(lv):
-            chars[k] = v[k]
-        u = w[:i]
-        for k in range(i):
-            chars[L - i + k] = u[k]
-        word = "".join(chars)
-    return RepetitionWitness(L, case, word)
+    word = w[i:i + L] if L <= n - i else w[i:] + w[n - L:i]
+    return RepetitionWitness(L, _case_of(L, i, n - i), word)
 
 
 def local_period_infinite(source: WordSource, i: int, cap: int) -> RepetitionWitness | CapExceeded:

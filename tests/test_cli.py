@@ -13,9 +13,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from periwords import checks
+from periwords import checks, cli
 from periwords.cli import (
     _ACTION_PARAMS,
+    _ERRORS,
     CLAIMS,
     DEFAULT_SEED,
     ExperimentConfig,
@@ -579,6 +580,28 @@ def test_batch_parameter_of_the_wrong_type_errors_one_run(tmp_path):
     assert (out_dir / "001-generate.txt").exists()
 
 
+@pytest.mark.parametrize("error,prefix", list(_ERRORS.items()), ids=[t.__name__ for t in _ERRORS])
+def test_each_expected_error_gets_its_prefix_and_spares_the_rest_of_a_batch(
+        error, prefix, tmp_path, monkeypatch, capsys):
+    def runner(cfg):
+        raise error("planted")
+
+    monkeypatch.setitem(cli._RUNNERS, "alpha", runner)
+    assert main(["alpha", "--word", "fibonacci"]) == 1
+    assert capsys.readouterr().err == f"{prefix}: planted\n"
+    cfg = tmp_path / "batch.json"
+    _write_batch(cfg, [
+        {"action": "alpha", "word": "fibonacci"},
+        {"action": "generate", "word": HOLUB, "params": {"n": 15}},
+    ])
+    out_dir = tmp_path / "out"
+    assert run_batch(str(cfg), str(out_dir)) == 1
+    runs = json.loads((out_dir / "summary.json").read_text())["runs"]
+    assert [r["status"] for r in runs] == ["error", "ok"]
+    assert runs[0]["error"] == f"{error.__name__}: planted"
+    assert (out_dir / "001-generate.txt").exists()
+
+
 @pytest.mark.parametrize("entry,error", [
     ({"action": "verify", "word": HOLUB, "claim": "block-closure", "params": {"depth": True}},
      "TypeError: parameter 'depth' of block-closure takes int, got True"),
@@ -830,6 +853,18 @@ def test_out_file_mode_follows_the_umask(tmp_path):
     finally:
         os.umask(old)
     assert stat.S_IMODE(target.stat().st_mode) == 0o640
+
+
+def test_out_file_write_leaves_the_process_umask_alone(tmp_path, monkeypatch):
+    # the umask is process-wide: setting it, even briefly, changes the mode
+    # of files other threads create meanwhile
+    def umask(mask):
+        raise AssertionError("os.umask called")
+
+    monkeypatch.setattr(os, "umask", umask)
+    target = tmp_path / "profile.txt"
+    assert main(["profile", "--text", "abaab", "--out", str(target)]) == 0
+    assert list(tmp_path.iterdir()) == [target]
 
 
 def test_failed_out_write_leaves_no_temp_file(tmp_path, monkeypatch, capsys):

@@ -209,6 +209,50 @@ def test_sweep_matrices_match_the_scalar_kernels(maxlen, nletters):
             assert p == int(PY.period_of(w)), w
 
 
+def _matrix_and_loop(words):
+    out = PY.local_period_matrix(words)
+    assert out.dtype == np.int64 and out.shape == words.shape
+    return out.tolist(), [PY.local_periods_finite(w).tolist() for w in words]
+
+
+@pytest.mark.parametrize("rows,n", [(0, 0), (0, 9), (4, 0), (9, 1)])
+def test_local_period_matrix_on_empty_and_one_column_shapes(rows, n):
+    words = np.random.default_rng(rows + n).integers(0, 3, (rows, n), dtype=np.uint8)
+    got, want = _matrix_and_loop(words)
+    assert got == want
+
+
+@pytest.mark.parametrize("n", [64, 200, 512])
+def test_local_period_matrix_on_long_rows(n):
+    # prefixes of words whose local periods run long (thue-morse) or stay
+    # short (periodic), and a random row
+    descriptors = ["fibonacci", "thue-morse", "periodic:aababbbb", "holub:n=2,3,4;tail=repeat"]
+    rows = [parse_descriptor(d).ranks(n) for d in descriptors]
+    rows.append(np.random.default_rng(n).integers(0, 2, n, dtype=np.uint8))
+    got, want = _matrix_and_loop(np.stack(rows))
+    assert got == want
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_local_period_matrix_on_periodic_stretches_with_one_defect(data):
+    # each row repeats a short base over at least half its length, amid
+    # random letters, and has one letter changed somewhere
+    n = data.draw(st.integers(2, 120))
+    rows = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        base = data.draw(st.lists(st.integers(0, 2), min_size=1, max_size=8))
+        row = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        a = data.draw(st.integers(0, n // 4))
+        b = data.draw(st.integers(n - n // 4, n))
+        row[a:b] = (base * n)[:b - a]
+        d = data.draw(st.integers(0, n - 1))
+        row[d] = (row[d] + data.draw(st.integers(1, 2))) % 3
+        rows.append(row)
+    got, want = _matrix_and_loop(np.array(rows, np.uint8))
+    assert got == want
+
+
 def test_word_matrix_blocks_follow_the_code_order():
     whole = PY.word_matrix(5, 3)
     assert whole[1].tolist() == [0, 0, 0, 0, 1]

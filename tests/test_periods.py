@@ -158,12 +158,19 @@ def test_oracle_agreement_random():
         assert local_period(w, i).length == local_period_oracle(w, i)
 
 
+def _every_split(letters, maxlen):
+    for n in range(1, maxlen + 1):
+        for t in itertools.product(letters, repeat=n):
+            yield from (("".join(t), i) for i in range(1, n + 1))
+
+
 def test_witness_is_a_repetition_word():
-    # replay: the witness itself must match u on its overlap and v on its overlap
+    # replay: the witness itself must match u on its overlap and v on its overlap,
+    # at random splits and at every split of every short binary and ternary word
     rng = random.Random(SEED + 2)
-    for _ in range(300):
-        w = rand_word(rng)
-        i = rng.randint(1, len(w))
+    sampled = [(w, rng.randint(1, len(w))) for w in (rand_word(rng) for _ in range(300))]
+    every = itertools.chain(_every_split("ab", 10), _every_split("abc", 6))
+    for w, i in itertools.chain(sampled, every):
         r = local_period(w, i)
         u, v = w[:i], w[i:]
         left = min(len(u), r.length)
@@ -343,7 +350,8 @@ def test_table_matches_the_loop_on_mixed_lengths_and_duplicates():
     assert_table_matches_the_loop(words)
 
 
-@pytest.mark.parametrize("count", [MATRIX_MIN_WORDS - 1, MATRIX_MIN_WORDS, MATRIX_MIN_WORDS + 1])
+@pytest.mark.parametrize("count", [MATRIX_MIN_WORDS - 1, MATRIX_MIN_WORDS, MATRIX_MIN_WORDS + 1],
+                         ids=["below", "at", "above"])
 def test_table_takes_the_matrix_from_the_crossover_on(count, monkeypatch):
     calls = []
     matrix = kernels.active.local_period_matrix
