@@ -1,11 +1,13 @@
 """Scan kernels over uint8 letter arrays: the one kernel table.
 
-Still scalar Python loops: border_table (and period_of and
-shortest_border_length on it), local_period_finite and local_periods_finite,
-local_period_stream, oracle_local_period and least_rotation_index.
-Vectorized numpy code, checked in the tests against those loops or against
-the loops they replaced: local_periods_stream; oracle_sweep and cft_sweep
-with the helpers the sweeps use (word_matrix, local_period_matrix,
+Scalar Python loops: border_table (and period_of and shortest_border_length
+on it) and oracle_local_period. Scalar kernels that compare byte slices of
+the letter array: local_period_finite, local_periods_finite and
+local_period_stream apply the window rule stated in periods one length at a
+time, and least_rotation_index takes the least rotation with min.
+Vectorized numpy code, checked in the tests against the scalar kernels or
+against the loops they replaced: local_periods_stream; oracle_sweep and
+cft_sweep with the helpers the sweeps use (word_matrix, local_period_matrix,
 period_column, oracle_period_matrix, first_failure); the search kernels
 occurrence_list and max_run_exponent; and max_power, which reads the hits of
 occurrence_list. local_period_matrix applies the window rule stated in
@@ -58,86 +60,37 @@ def shortest_border_length(w):
     return b
 
 
+def _window_period(b, i, n, stop):
+    # least L <= stop with b[j] == b[j+L] for every j in the window
+    # [max(0, i-L), min(i, n-L)) of the split after i letters of the byte
+    # string b, or 0 if there is none; an empty window always qualifies.
+    # The window ends are spelled out: max and min calls double the time.
+    for L in range(1, stop + 1):
+        lo = i - L if L < i else 0
+        hi = i if i < n - L else n - L
+        if b[lo:hi] == b[lo + L:hi + L]:
+            return L
+    return 0
+
+
 def local_period_finite(w, i):
-    # minimal length of a repetition word centred at the split u = w[:i], v = w[i:].
-    # The length ranges for the four match shapes partition (L vs i) x (L vs |v|),
-    # and L = n always matches (r = vu), so the scan terminates.
+    # minimal length of a repetition word centred at the split u = w[:i], v = w[i:];
+    # L = n always qualifies (its window is empty: r = vu)
     n = w.shape[0]
-    lv = n - i
-    for L in range(1, n + 1):
-        if L <= i and L <= lv:
-            # square: w[i-L:i] == w[i:i+L]
-            ok = True
-            for t in range(L):
-                if w[i - L + t] != w[i + t]:
-                    ok = False
-                    break
-            if ok:
-                return L
-        elif L <= lv:
-            # right overhang: r = w[i:i+L] reaches past the end of u,
-            # so u must be a suffix of it
-            ok = True
-            for t in range(i):
-                if w[t] != w[L + t]:
-                    ok = False
-                    break
-            if ok:
-                return L
-        elif L <= i:
-            # left overhang: r = w[i-L:i] reaches past the end of v,
-            # so v must be a prefix of it
-            ok = True
-            for t in range(lv):
-                if w[i + t] != w[i - L + t]:
-                    ok = False
-                    break
-            if ok:
-                return L
-        else:
-            # r overhangs on both sides; only the forced overlap of the
-            # v-prefix and u-suffix constrains it (1-based k in r)
-            ok = True
-            lo = L - i + 1
-            if lo < 1:
-                lo = 1
-            for k in range(lo, lv + 1):
-                if w[i + k - 1] != w[k - L + i - 1]:
-                    ok = False
-                    break
-            if ok:
-                return L
-    return n
+    return _window_period(w.tobytes(), i, n, n)
 
 
 def local_periods_finite(w):
     n = w.shape[0]
-    out = np.empty(n, np.int64)
-    for i in range(1, n + 1):
-        out[i - 1] = local_period_finite(w, i)
-    return out
+    b = w.tobytes()
+    return np.array([_window_period(b, i, n, n) for i in range(1, n + 1)], np.int64)
 
 
 def local_period_stream(buf, i, cap):
     # split after position i of an unbounded word; buf holds >= i + cap letters.
-    # r must be the length-L prefix of the right side, so two shapes remain.
+    # Every L <= cap keeps the window's right end at i, as in an infinite word.
     # Returns 0 when no repetition word of length <= cap exists.
-    for L in range(1, cap + 1):
-        if L <= i:
-            ok = True
-            for t in range(L):
-                if buf[i - L + t] != buf[i + t]:
-                    ok = False
-                    break
-        else:
-            ok = True
-            for t in range(i):
-                if buf[t] != buf[L + t]:
-                    ok = False
-                    break
-        if ok:
-            return L
-    return 0
+    return _window_period(buf[:i + cap].tobytes(), i, i + cap, cap)
 
 
 def local_periods_stream(buf, n, cap):
@@ -465,17 +418,7 @@ def max_run_exponent(s, p_max):
 
 
 def least_rotation_index(w):
-    # index of the lexicographically least rotation (stable on ties)
+    # index of the lexicographically least rotation (the first one on ties)
     n = w.shape[0]
-    best = 0
-    for c in range(1, n):
-        for t in range(n):
-            a = w[(c + t) % n]
-            b = w[(best + t) % n]
-            if a < b:
-                best = c
-                break
-            if a > b:
-                break
-    return best
-
+    ww = w.tobytes() * 2
+    return min(range(n), key=lambda c: ww[c:c + n], default=0)

@@ -412,26 +412,51 @@ def run(cfg: ExperimentConfig) -> int:
     return code
 
 
+def _resolve_entry(idx: int, entry):
+    """A batch entry resolved, its out set to its artifact name (its own out,
+    else NNN-action.ext), or the error that keeps it from running."""
+    try:
+        cfg = ExperimentConfig.from_json(entry).resolved()
+    except tuple(_ERRORS) as e:
+        return e
+    return replace(cfg, out=cfg.out or f"{idx:03d}-{cfg.action}.{_EXT[cfg.format]}")
+
+
+def _check_out(out: str, names: list[str]) -> None:
+    # a batch run's own out: a plain file name that no other artifact takes
+    if "/" in out or "\\" in out or out in (".", "..", "summary.json"):
+        raise ValueError(f"out {out!r} must be a plain file name, "
+                         "without a separator and not '.', '..' or 'summary.json'")
+    if names.count(out) > 1:
+        raise ValueError(f"out {out!r} names the artifact of another run")
+
+
 def run_batch(config_path: str, out_dir: str) -> int:
     """Run every entry of a batch file; one entry's error never stops the rest."""
     with open(config_path, encoding="utf-8") as f:
         data = json.load(f)
+    if not isinstance(data, dict):
+        raise TypeError(f"a batch file holds an object with a 'runs' list, got {data!r}")
     runs = data.get("runs")
     if runs is None:
         raise ValueError("batch config needs a top-level 'runs' list")
+    _check_type("field 'runs'", list, runs)
     os.makedirs(out_dir, exist_ok=True)
+    cfgs = [_resolve_entry(idx, entry) for idx, entry in enumerate(runs)]
+    names = [cfg.out for cfg in cfgs if isinstance(cfg, ExperimentConfig)]
     summary = []
-    for idx, entry in enumerate(runs):
+    for idx, (entry, cfg) in enumerate(zip(runs, cfgs)):
         named = entry if isinstance(entry, dict) else {}
         row = {"index": idx, "action": named.get("action"), "word": named.get("word"),
                "claim": named.get("claim"), "status": None, "out": None, "error": None}
         try:
-            cfg = ExperimentConfig.from_json(entry).resolved()
-            out_name = cfg.out or f"{idx:03d}-{cfg.action}.{_EXT[cfg.format]}"
-            cfg = replace(cfg, out=os.path.join(out_dir, out_name))
-            _, status = _RUNNERS[cfg.action](cfg)
+            if isinstance(cfg, Exception):
+                raise cfg
+            if named.get("out"):
+                _check_out(cfg.out, names)
+            _, status = _RUNNERS[cfg.action](replace(cfg, out=os.path.join(out_dir, cfg.out)))
             row["status"] = status or "ok"
-            row["out"] = os.path.basename(cfg.out)
+            row["out"] = cfg.out
         except tuple(_ERRORS) as e:
             row["status"] = "error"
             row["error"] = f"{type(e).__name__}: {e}"

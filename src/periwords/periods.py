@@ -31,15 +31,15 @@ DOUBLE_OVERHANG = "double-overhang"
 
 # distinct words of one length from which local_period_table scans them as
 # one matrix; below it the per-row loop is faster. Matrix time over loop
-# time on random binary words, best of 25 (they break even at 10-12 rows of
-# up to 14 letters, and at 2-4 rows of 32-64 letters):
-#   rows:          2     4     8    12    16    32
-#   3 letters    4.58  2.27  1.22  0.82  0.64  0.32
-#   10 letters   3.57  1.85  1.44  1.04  0.37  0.22
-#   14 letters   3.28  2.12  0.77  0.50  0.40  0.23
-#   32 letters   1.65  0.99  0.46  0.33  0.25  0.13
-#   64 letters   0.88  0.43  0.22  0.19  0.13  0.05
-MATRIX_MIN_WORDS = 12
+# time on random binary words, best of 25 (they break even at 12-14 rows of
+# up to 14 letters, 8-12 rows of 32 letters and 4-8 rows of 64 letters):
+#   rows:          2     4     8    12    14    16    32
+#   3 letters    3.03  2.59  1.39  0.96  0.81  0.69  0.34
+#   10 letters   5.17  3.37  1.65  1.27  0.97  0.87  0.42
+#   14 letters   6.48  3.20  1.61  1.13  0.71  0.75  0.40
+#   32 letters   4.54  1.91  1.03  0.48  0.59  0.63  0.25
+#   64 letters   1.66  1.96  0.60  0.40  0.35  0.31  0.17
+MATRIX_MIN_WORDS = 14
 
 
 @dataclass(frozen=True)
@@ -280,8 +280,8 @@ def local_period_table(words) -> dict[str, np.ndarray]:
 
     The distinct words are grouped by length and each group is encoded as one
     (words x letters) array. A group of at least MATRIX_MIN_WORDS words is
-    scanned in one local_period_matrix call; a smaller one row by row, where
-    the scalar loop is faster.
+    scanned in one local_period_matrix call; a smaller one row by row with
+    local_periods_finite, which is faster there.
     """
     groups: dict[int, list[str]] = {}
     for w in dict.fromkeys(words):

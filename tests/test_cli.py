@@ -763,10 +763,17 @@ def test_batch_config_fields_are_type_checked(tmp_path, entry, error):
 
 
 def test_batch_runs_of_the_wrong_type_is_a_parameter_error(tmp_path, capsys):
+    # the message names the field and what it takes, as for a run's fields
     cfg = tmp_path / "batch.json"
-    cfg.write_text(json.dumps({"runs": 5}), encoding="utf-8")
-    assert main(["batch", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 1
-    assert capsys.readouterr().err.startswith("parameter error:")
+    for runs in (5, "abc", {"action": "generate"}, True):
+        cfg.write_text(json.dumps({"runs": runs}), encoding="utf-8")
+        message = f"field 'runs' takes list, got {runs!r}"
+        with pytest.raises(TypeError) as info:
+            run_batch(str(cfg), str(tmp_path / "o"))
+        assert str(info.value) == message
+        assert main(["batch", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"parameter error: {message}\n"
+        assert not (tmp_path / "o").exists()
 
 
 def test_batch_inconclusive_only_exits_three(tmp_path):
@@ -811,6 +818,79 @@ def test_batch_respects_explicit_out_names(tmp_path):
     out_dir = tmp_path / "o"
     assert run_batch(str(cfg), str(out_dir)) == 0
     assert (out_dir / "fib.txt").read_text().endswith("abaababa\n")
+
+
+@pytest.mark.parametrize("data", [[], [{"action": "generate"}], 3, "runs", None])
+def test_batch_top_level_that_is_not_an_object_is_a_parameter_error(data, tmp_path, capsys):
+    cfg = tmp_path / "batch.json"
+    cfg.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(TypeError, match="a batch file holds an object with a 'runs' list"):
+        run_batch(str(cfg), str(tmp_path / "o"))
+    assert main(["batch", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith(
+        "parameter error: a batch file holds an object with a 'runs' list, got ")
+    assert not (tmp_path / "o").exists()
+
+
+def _batch_both_ways(tmp_path, runs):
+    # the batch through run_batch and through cli.main, each into an out dir
+    # of its own; both must give the same (exit code, summary rows, files),
+    # and neither may write beside its out dir
+    cfg = tmp_path / "batch.json"
+    _write_batch(cfg, runs)
+    results = []
+    for name in ("direct", "main"):
+        out_dir = tmp_path / name / "out"
+        if name == "direct":
+            code = run_batch(str(cfg), str(out_dir))
+        else:
+            code = main(["batch", "--config", str(cfg), "--out-dir", str(out_dir)])
+        assert os.listdir(tmp_path / name) == ["out"]
+        rows = json.loads((out_dir / "summary.json").read_text())["runs"]
+        results.append((code, rows, sorted(os.listdir(out_dir))))
+    assert results[0] == results[1]
+    return results[0]
+
+
+def _fib(n, **fields):
+    return {"action": "generate", "word": "fibonacci", "params": {"n": n}, **fields}
+
+
+@pytest.mark.parametrize("out", [
+    "../escape.txt", "sub/x.txt", "{tmp}/abs.txt", "a\\b.txt", ".", "..", "summary.json",
+])
+def test_batch_out_must_be_a_plain_file_name(out, tmp_path):
+    out = out.format(tmp=tmp_path)
+    code, rows, files = _batch_both_ways(tmp_path, [_fib(8, out=out), _fib(5)])
+    assert code == 1
+    assert [r["status"] for r in rows] == ["error", "ok"]
+    assert rows[0]["error"].startswith(f"ValueError: out {out!r} must be a plain file name")
+    assert rows[0]["out"] is None
+    assert files == ["001-generate.txt", "summary.json"]
+    assert sorted(os.listdir(tmp_path)) == ["batch.json", "direct", "main"]
+
+
+def test_batch_runs_that_share_an_out_write_nothing(tmp_path):
+    code, rows, files = _batch_both_ways(
+        tmp_path, [_fib(8, out="fib.txt"), _fib(5), _fib(13, out="fib.txt")])
+    assert code == 1
+    assert [r["status"] for r in rows] == ["error", "ok", "error"]
+    for r in (rows[0], rows[2]):
+        assert r["error"] == "ValueError: out 'fib.txt' names the artifact of another run"
+    assert files == ["001-generate.txt", "summary.json"]
+
+
+def test_batch_out_may_not_take_a_generated_name(tmp_path):
+    # run 1 writes 001-generate.txt itself; run 0 may not claim that name
+    code, rows, files = _batch_both_ways(
+        tmp_path, [_fib(8, out="001-generate.txt"), _fib(5), _fib(3, out="002-generate.txt")])
+    assert code == 1
+    assert [r["status"] for r in rows] == ["error", "ok", "ok"]
+    assert rows[0]["error"] == (
+        "ValueError: out '001-generate.txt' names the artifact of another run")
+    assert [r["out"] for r in rows] == [None, "001-generate.txt", "002-generate.txt"]
+    assert files == ["001-generate.txt", "002-generate.txt", "summary.json"]
+    assert (tmp_path / "direct" / "out" / "001-generate.txt").read_text().endswith("abaab\n")
 
 
 def test_batch_runs_are_byte_deterministic(tmp_path):

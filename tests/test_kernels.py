@@ -1,7 +1,9 @@
 """The kernel table against its own references on matched inputs.
 
 The vectorized local_periods_stream is checked against the per-position scan
-local_period_stream, and the vectorized oracle_sweep/cft_sweep against the
+local_period_stream, which is tied to the brute-force oracle on every small
+binary buffer; least_rotation_index is checked against a brute-force search
+of the rotations, and the vectorized oracle_sweep/cft_sweep against the
 one-word-at-a-time loops below, which call the scalar kernels; max_power,
 occurrence_list and max_run_exponent are checked against the per-offset loops
 they once ran. Sizes are kept small because the scalar side is interpreted.
@@ -40,6 +42,48 @@ def _stream(table, buf, n, cap):
     out = table.local_periods_stream(buf, n, cap)
     assert out.dtype == np.int64 and out.shape == (n,)
     return out.tolist()
+
+
+def test_stream_position_scan_matches_the_oracle(table):
+    # the split after i letters of an unbounded word, read through buf[:i+cap]:
+    # the oracle's least repetition length on that prefix when it is <= cap,
+    # else a cap hit (0); the oracle depends on buf[:i+cap] and i alone
+    oracle = {}
+    for size in range(11):
+        for letters in itertools.product((0, 1), repeat=size):
+            buf = np.array(letters, np.uint8)
+            for i in range(size + 1):
+                for cap in range(size - i + 1):
+                    key = (letters[:i + cap], i)
+                    if key not in oracle:
+                        oracle[key] = int(table.oracle_local_period(buf[:i + cap], i, 2))
+                    want = oracle[key] if oracle[key] <= cap else 0
+                    assert table.local_period_stream(buf, i, cap) == want, (letters, i, cap)
+
+
+def _first_least_rotation(letters):
+    rotations = [letters[c:] + letters[:c] for c in range(len(letters))]
+    return rotations.index(min(rotations)) if rotations else 0
+
+
+def test_least_rotation_index_every_small_word(table):
+    for k, maxlen in ((2, 12), (3, 8)):
+        for n in range(maxlen + 1):
+            for letters in itertools.product(range(k), repeat=n):
+                got = table.least_rotation_index(np.array(letters, np.uint8))
+                assert got == _first_least_rotation(letters), letters
+
+
+def test_least_rotation_index_on_a_power_and_one_letter(table):
+    # a^k b is its own least rotation; b a^k first rotates to a^k b at 1
+    ks = sorted({*range(33), *(2 ** j - 1 for j in range(13)), *(2 ** j for j in range(12))})
+    assert ks[-1] == 4095
+    for k in ks:
+        for letters, want in (((0,) * k + (1,), 0), ((1,) + (0,) * k, min(k, 1))):
+            if k <= 32:
+                assert want == _first_least_rotation(letters)
+            assert table.least_rotation_index(np.array(letters, np.uint8)) == want, (k, letters)
+    assert table.least_rotation_index(np.empty(0, np.uint8)) == 0
 
 
 def test_stream_scan_every_binary_buffer(table):
