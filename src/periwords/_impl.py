@@ -12,9 +12,8 @@ period_column, oracle_period_matrix, first_failure); the search kernels
 occurrence_list and max_run_exponent; and max_power, which reads the hits of
 occurrence_list. local_period_matrix applies the window rule stated in
 periods, one shift at a time for every row and position; it also serves the
-library: periods.local_period_table scans each large group of equal-length
-words with it, and a small group row by row with local_periods_finite, and
-periods.factor_local_periods the factors of each length of a letter matrix.
+library: periods.factor_local_periods scans the factors of each length of a
+letter matrix with it.
 Positions handed to these functions are 1-based, matching the library API.
 """
 

@@ -19,7 +19,7 @@ from types import UnionType
 from typing import Literal, get_args, get_origin
 
 from . import checks
-from .checks import CLAIMS, DEFAULT_SEED, VerificationReport
+from .checks import CLAIMS, VerificationReport
 from .errors import DescriptorError, InsufficientWindowError
 from .factorize import alpha_chain, dyadic_factorization, return_factorization
 from .periods import PeriodProfile, local_period_table, profile
@@ -50,7 +50,6 @@ class ExperimentConfig:
     params: dict = field(default_factory=dict)
     format: Literal[tuple(_EXT)] = "text"
     out: str | None = None
-    seed: int = DEFAULT_SEED
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -75,11 +74,13 @@ class ExperimentConfig:
     def resolved(self) -> "ExperimentConfig":
         """Copy with every applicable default written out explicitly.
 
-        Raises ValueError for a parameter the action or claim does not take,
-        and TypeError for a value its declared annotation does not admit.
+        Raises ValueError for a parameter or subject field the action or
+        claim does not take, and TypeError for a value its declared
+        annotation does not admit.
         """
         if self.action == "verify":
-            owner, table = self.claim, _claim_spec(self.claim).params
+            spec = _claim_spec(self.claim)
+            owner, table = self.claim, spec.params
         elif self.action == "report":
             owner, table = self.action, _REPORT_PARAMS
         elif self.action in _ACTION_PARAMS:
@@ -91,9 +92,16 @@ class ExperimentConfig:
             raise ValueError(f"unknown parameters for {owner}: {unknown}")
         for name, value in self.params.items():
             _check_type(f"parameter {name!r} of {owner}", table[name][0], value)
+        if self.claim is not None and self.action != "verify":
+            raise ValueError(f"field 'claim' is read by verify only, not by {self.action}")
+        if self.text is not None and self.action != "profile":
+            raise ValueError(f"field 'text' is read by profile only, not by {self.action}")
+        if self.text is not None and self.word is not None:
+            raise ValueError("fields 'text' and 'word' both name the subject; give one")
+        if self.word is not None and self.action == "verify" and spec.kind == "none":
+            raise ValueError(f"field 'word' is not read by claim {self.claim!r}, "
+                             "which takes no word")
         defaults = {name: default for name, (_, default) in table.items()}
-        if "seed" in defaults:
-            defaults["seed"] = self.seed
         return replace(self, params={**defaults, **self.params})
 
 
@@ -264,7 +272,7 @@ _ERRORS = {
 # actions
 
 
-def _run_generate(cfg: ExperimentConfig) -> tuple[int, str | None]:
+def _run_generate(cfg: ExperimentConfig) -> None:
     source = parse_descriptor(cfg.word or "")
     n = cfg.params["n"]
     letters = source.prefix(n)
@@ -274,10 +282,9 @@ def _run_generate(cfg: ExperimentConfig) -> tuple[int, str | None]:
         _emit(cfg, _csv_text(["index", "letter"], [[i + 1, c] for i, c in enumerate(letters)]))
     else:
         _emit(cfg, _ruler(letters))
-    return 0, None
 
 
-def _run_profile(cfg: ExperimentConfig) -> tuple[int, str | None]:
+def _run_profile(cfg: ExperimentConfig) -> None:
     if cfg.text is not None:
         prof = profile(cfg.text)
     else:
@@ -293,10 +300,9 @@ def _run_profile(cfg: ExperimentConfig) -> tuple[int, str | None]:
         body += [f"{i:>6} {p:>8} {f'{a}/{b}':>12}" for i, p, a, b in live]
         body += [f"{i:>6} {'CAP' if p is None else p:>8} {'-':>12}" for i, p in capped]
         _emit(cfg, "\n".join(body) + "\n")
-    return 0, None
 
 
-def _run_factorize(cfg: ExperimentConfig) -> tuple[int, str | None]:
+def _run_factorize(cfg: ExperimentConfig) -> None:
     source = parse_descriptor(cfg.word or "")
     p = cfg.params
     if p["mode"] == "dyadic":
@@ -333,10 +339,9 @@ def _run_factorize(cfg: ExperimentConfig) -> tuple[int, str | None]:
         if len(fact.returns) > 40:
             body.append(f"  ... {len(fact.returns) - 40} more")
         _emit(cfg, "\n".join(body) + "\n")
-    return 0, None
 
 
-def _run_alpha(cfg: ExperimentConfig) -> tuple[int, str | None]:
+def _run_alpha(cfg: ExperimentConfig) -> None:
     source = parse_descriptor(cfg.word or "")
     chain = alpha_chain(source, **cfg.params)
     if cfg.format == "csv":
@@ -350,10 +355,9 @@ def _run_alpha(cfg: ExperimentConfig) -> tuple[int, str | None]:
         for t, e_ in enumerate(chain.entries, 1):
             body.append(f"  level {t}: alpha={e_.alpha!r} exponent={e_.exponent}")
         _emit(cfg, "\n".join(body) + "\n")
-    return 0, None
 
 
-def _run_verify(cfg: ExperimentConfig) -> tuple[int, str | None]:
+def _run_verify(cfg: ExperimentConfig) -> str:
     spec = _claim_spec(cfg.claim)
     source = None
     if spec.kind != "none":
@@ -374,10 +378,10 @@ def _run_verify(cfg: ExperimentConfig) -> tuple[int, str | None]:
             f"warning: claim {rep.claim!r} verified over a finite window only",
             file=sys.stderr,
         )
-    return _EXIT.get(rep.status, 0), rep.status
+    return rep.status
 
 
-def _run_report(cfg: ExperimentConfig) -> tuple[int, str | None]:
+def _run_report(cfg: ExperimentConfig) -> str:
     source = parse_descriptor(cfg.word or "")
     rep = checks.divergence_report(source, **cfg.params)
     if cfg.format == "csv":
@@ -392,9 +396,10 @@ def _run_report(cfg: ExperimentConfig) -> tuple[int, str | None]:
         _emit(cfg, _report_text(rep))
     if rep.status == checks.WINDOWED:
         print("warning: trend observed over a finite window only", file=sys.stderr)
-    return _EXIT.get(rep.status, 0), rep.status
+    return rep.status
 
 
+# action -> runner; a runner returns the status of the claim it checked, or None
 _RUNNERS = {
     "generate": _run_generate,
     "profile": _run_profile,
@@ -408,8 +413,7 @@ _RUNNERS = {
 def run(cfg: ExperimentConfig) -> int:
     """Execute one resolved config; returns the process exit code."""
     cfg = cfg.resolved()
-    code, _ = _RUNNERS[cfg.action](cfg)
-    return code
+    return _EXIT.get(_RUNNERS[cfg.action](cfg), 0)
 
 
 def _resolve_entry(idx: int, entry):
@@ -454,7 +458,7 @@ def run_batch(config_path: str, out_dir: str) -> int:
                 raise cfg
             if named.get("out"):
                 _check_out(cfg.out, names)
-            _, status = _RUNNERS[cfg.action](replace(cfg, out=os.path.join(out_dir, cfg.out)))
+            status = _RUNNERS[cfg.action](replace(cfg, out=os.path.join(out_dir, cfg.out)))
             row["status"] = status or "ok"
             row["out"] = cfg.out
         except tuple(_ERRORS) as e:
@@ -505,7 +509,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--word", help="word descriptor, e.g. fibonacci, holub:n=2,2;tail=repeat")
         p.add_argument("--format", choices=list(_EXT), default="text")
         p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         return p
 
     def param_flags(p, params):
@@ -524,9 +527,7 @@ def _build_parser() -> _Parser:
     param_flags(common("alpha", "minimal-return chain"), _ACTION_PARAMS["alpha"])
     ve = common("verify", "run one claim checker")
     ve.add_argument("--claim", required=True, help=", ".join(sorted(CLAIMS)))
-    # the config's own --seed stands for a checker's seed parameter
-    param_flags(ve, {name: entry for spec in CLAIMS.values()
-                     for name, entry in spec.params.items() if name != "seed"})
+    param_flags(ve, {name: entry for spec in CLAIMS.values() for name, entry in spec.params.items()})
     param_flags(common("report", "complexity trend at checkpoints"), _REPORT_PARAMS)
 
     ba = sub.add_parser("batch", help="run a JSON list of configs")

@@ -29,18 +29,6 @@ RIGHT_OVERHANG = "right-overhang"
 LEFT_OVERHANG = "left-overhang"
 DOUBLE_OVERHANG = "double-overhang"
 
-# distinct words of one length from which local_period_table scans them as
-# one matrix; below it the per-row loop is faster. Matrix time over loop
-# time on random binary words, best of 25 (they break even at 12-14 rows of
-# up to 14 letters, 8-12 rows of 32 letters and 4-8 rows of 64 letters):
-#   rows:          2     4     8    12    14    16    32
-#   3 letters    3.03  2.59  1.39  0.96  0.81  0.69  0.34
-#   10 letters   5.17  3.37  1.65  1.27  0.97  0.87  0.42
-#   14 letters   6.48  3.20  1.61  1.13  0.71  0.75  0.40
-#   32 letters   4.54  1.91  1.03  0.48  0.59  0.63  0.25
-#   64 letters   1.66  1.96  0.60  0.40  0.35  0.31  0.17
-MATRIX_MIN_WORDS = 14
-
 
 @dataclass(frozen=True)
 class RepetitionWitness:
@@ -276,25 +264,8 @@ def local_periods(w: str) -> np.ndarray:
 
 
 def local_period_table(words) -> dict[str, np.ndarray]:
-    """Local periods of every distinct word in words, keyed by the word.
-
-    The distinct words are grouped by length and each group is encoded as one
-    (words x letters) array. A group of at least MATRIX_MIN_WORDS words is
-    scanned in one local_period_matrix call; a smaller one row by row with
-    local_periods_finite, which is faster there.
-    """
-    groups: dict[int, list[str]] = {}
-    for w in dict.fromkeys(words):
-        groups.setdefault(len(w), []).append(w)
-    table = {}
-    for n, ws in groups.items():
-        letters = encode("".join(ws)).reshape(len(ws), n)
-        if len(ws) >= MATRIX_MIN_WORDS:
-            rows = kernels.active.local_period_matrix(letters)
-        else:
-            rows = [kernels.active.local_periods_finite(r) for r in letters]
-        table.update(zip(ws, rows))
-    return table
+    """Local periods of every distinct word in words, keyed by the word."""
+    return {w: local_periods(w) for w in dict.fromkeys(words)}
 
 
 def factor_local_periods(letters: np.ndarray, start: np.ndarray, length: np.ndarray) -> np.ndarray:

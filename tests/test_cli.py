@@ -14,11 +14,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from periwords import checks, cli
+from periwords.checks import DEFAULT_SEED
 from periwords.cli import (
     _ACTION_PARAMS,
     _ERRORS,
     CLAIMS,
-    DEFAULT_SEED,
     ExperimentConfig,
     _build_parser,
     _csv_text,
@@ -368,7 +368,7 @@ def test_none_flag_value_means_the_default(capsys):
 def test_config_round_trip_lossless():
     cfg = ExperimentConfig(
         action="verify", word=HOLUB, claim="big",
-        params={"depth": 3, "cap": None}, format="json", out="x.json", seed=1,
+        params={"depth": 3, "cap": None}, format="json", out="x.json",
     )
     assert ExperimentConfig.from_json(cfg.to_json()) == cfg
 
@@ -376,8 +376,8 @@ def test_config_round_trip_lossless():
 def test_config_serialization_is_explicit():
     data = ExperimentConfig(action="generate", word="fibonacci").to_json()
     # every field is present even when defaulted
-    assert set(data) == {"action", "word", "text", "claim", "params", "format", "out", "seed"}
-    assert data["seed"] == DEFAULT_SEED and data["format"] == "text"
+    assert set(data) == {"action", "word", "text", "claim", "params", "format", "out"}
+    assert data["format"] == "text"
 
 
 def test_config_resolution_fills_defaults():
@@ -427,8 +427,8 @@ CLAIM_DEFAULTS = {
                     "repetition_bound": None},
     "dyadic-gain": {"k": 1, "kprime": 4, "window": 8, "horizon": None,
                     "repetition_bound": None},
-    "factor-bound": {"trials": 10_000, "maxlen": 14, "seed": 7},
-    "superadditivity": {"trials": 10_000, "maxlen": 14, "seed": 7},
+    "factor-bound": {"trials": 10_000, "maxlen": 14, "seed": DEFAULT_SEED},
+    "superadditivity": {"trials": 10_000, "maxlen": 14, "seed": DEFAULT_SEED},
     "critical-exhaustive": {"alphabet_size": 2, "maxlen": 12},
     "oracle-equivalence": {"alphabet_size": 2, "maxlen": 12},
     "divergence": {"checkpoints": (16, 32, 64, 128, 256, 512, 1024, 2048, 4096),
@@ -439,8 +439,7 @@ CLAIM_DEFAULTS = {
 
 @pytest.mark.parametrize("claim", sorted(CLAIMS))
 def test_claim_defaults_are_pinned(claim):
-    # a seed parameter takes the config's seed
-    cfg = ExperimentConfig(action="verify", claim=claim, seed=7).resolved()
+    cfg = ExperimentConfig(action="verify", claim=claim).resolved()
     assert cfg.params == CLAIM_DEFAULTS[claim]
 
 
@@ -463,9 +462,19 @@ def test_verify_options_are_pinned():
         "--repetition-bound", "--max-factor-len", "--checkpoints", "--trend-from",
     }
     assert _option_strings("report") == {
-        "-h", "--help", "--word", "--format", "--out", "--seed",
+        "-h", "--help", "--word", "--format", "--out",
         "--checkpoints", "--cap", "--trend-from",
     }
+
+
+@pytest.mark.parametrize("action,options", [
+    ("generate", {"--n"}),
+    ("profile", {"--text", "--n", "--cap"}),
+    ("factorize", {"--z", "--mode", "--level", "--horizon", "--exponent", "--alpha-power"}),
+    ("alpha", {"--J", "--I", "--K", "--depth", "--horizon", "--repetition-bound"}),
+])
+def test_action_options_are_pinned(action, options):
+    assert _option_strings(action) == {"-h", "--help", "--word", "--format", "--out"} | options
 
 
 def test_run_calls_the_checker_that_checks_holds_at_call_time(monkeypatch, capsys):
@@ -745,10 +754,10 @@ def test_batch_unknown_parameter_errors_one_run(tmp_path):
      "TypeError: field 'params' takes dict, got [15]"),
     ({"action": "generate", "word": HOLUB, "format": "xml"},
      "TypeError: field 'format' takes Literal['text', 'json', 'csv'], got 'xml'"),
-    ({"action": "verify", "claim": "factor-bound", "params": {"trials": 5}, "seed": "3"},
-     "TypeError: field 'seed' takes int, got '3'"),
-    ({"action": "verify", "claim": "factor-bound", "params": {"trials": 5}, "seed": True},
-     "TypeError: field 'seed' takes int, got True"),
+    ({"action": "verify", "claim": "factor-bound", "params": {"trials": 5, "seed": "3"}},
+     "TypeError: parameter 'seed' of factor-bound takes int, got '3'"),
+    ({"action": "verify", "claim": "factor-bound", "params": {"trials": 5, "seed": True}},
+     "TypeError: parameter 'seed' of factor-bound takes int, got True"),
 ], ids=["run", "action", "word", "text", "claim", "out", "params", "format", "seed-str",
         "seed-bool"])
 def test_batch_config_fields_are_type_checked(tmp_path, entry, error):
@@ -760,6 +769,130 @@ def test_batch_config_fields_are_type_checked(tmp_path, entry, error):
     assert [r["status"] for r in summary["runs"]] == ["error", "ok"]
     assert summary["runs"][0]["error"] == error
     assert sorted(os.listdir(out_dir)) == ["001-generate.txt", "summary.json"]
+
+
+def _batch_error(tmp_path, entry) -> str:
+    # the error row of entry, run ahead of a good entry that still writes its artifact
+    cfg = tmp_path / "batch.json"
+    _write_batch(cfg, [entry, {"action": "generate", "word": HOLUB, "params": {"n": 15}}])
+    out_dir = tmp_path / "out"
+    assert run_batch(str(cfg), str(out_dir)) == 1
+    rows = json.loads((out_dir / "summary.json").read_text())["runs"]
+    assert [r["status"] for r in rows] == ["error", "ok"]
+    assert sorted(os.listdir(out_dir)) == ["001-generate.txt", "summary.json"]
+    return rows[0]["error"]
+
+
+@pytest.mark.parametrize("argv,entry,message", [
+    (["verify", "--claim", "factor-bound", "--word", "fibonacci"],
+     {"action": "verify", "claim": "factor-bound", "word": "fibonacci"},
+     "field 'word' is not read by claim 'factor-bound', which takes no word"),
+    (["profile", "--word", "fibonacci", "--text", "abaab"],
+     {"action": "profile", "word": "fibonacci", "text": "abaab"},
+     "fields 'text' and 'word' both name the subject; give one"),
+    (["verify", "--claim", "big", "--word", HOLUB, "--seed", "5"],
+     {"action": "verify", "claim": "big", "word": HOLUB, "params": {"seed": 5}},
+     "unknown parameters for big: ['seed']"),
+], ids=["word-on-a-wordless-claim", "text-and-word", "seed-on-a-seedless-claim"])
+def test_a_field_or_parameter_the_run_does_not_read_is_refused(argv, entry, message, tmp_path,
+                                                               capsys):
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"parameter error: {message}\n")
+    assert _batch_error(tmp_path, entry) == f"ValueError: {message}"
+
+
+@pytest.mark.parametrize("entry,message", [
+    ({"action": "generate", "word": "fibonacci", "claim": "big", "text": "ab"},
+     "field 'claim' is read by verify only, not by generate"),
+    ({"action": "report", "word": "fibonacci", "claim": "divergence"},
+     "field 'claim' is read by verify only, not by report"),
+    ({"action": "generate", "word": "fibonacci", "text": "ab"},
+     "field 'text' is read by profile only, not by generate"),
+    ({"action": "verify", "claim": "return-gain", "text": "abaab"},
+     "field 'text' is read by profile only, not by verify"),
+    ({"action": "verify", "claim": "factor-bound", "params": {"trials": 5}, "seed": 5},
+     "unknown config fields: ['seed']"),
+    ({"action": "verify", "claim": "factor-bound", "params": {"trials": 5, "seed": 7}, "seed": 5},
+     "unknown config fields: ['seed']"),
+], ids=["claim-on-generate", "claim-on-report", "text-on-generate", "text-on-verify",
+        "top-level-seed", "top-level-and-params-seed"])
+def test_a_batch_field_the_run_does_not_read_is_refused(entry, message, tmp_path):
+    assert _batch_error(tmp_path, entry) == f"ValueError: {message}"
+    with pytest.raises(ValueError) as info:
+        run(ExperimentConfig.from_json(entry))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--word", "fibonacci", "--seed", "5"],
+    ["profile", "--word", "fibonacci", "--n", "4", "--seed", "5"],
+    ["factorize", "--word", "fibonacci", "--z", "a", "--seed", "5"],
+    ["alpha", "--word", "fibonacci", "--seed", "5"],
+    ["report", "--word", "fibonacci", "--seed", "9"],
+], ids=lambda argv: argv[0])
+def test_seed_is_a_flag_of_verify_only(argv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert capsys.readouterr() == ("", "usage error: unrecognized arguments: --seed "
+                                   f"{argv[-1]}\n")
+    entry = {"action": argv[0], "word": "fibonacci", "params": {"seed": int(argv[-1])}}
+    assert _batch_error(tmp_path, entry) == (
+        f"ValueError: unknown parameters for {argv[0]}: ['seed']")
+
+
+def test_verify_seed_is_the_claims_seed_parameter(capsys):
+    assert main(["verify", "--claim", "factor-bound", "--trials", "30", "--seed", "7",
+                 "--format", "json"]) == 0
+    assert json.loads(out_of(capsys))["params"] == {"trials": 30, "maxlen": 14, "seed": 7}
+
+
+# any JSON value; a config field or parameter mostly gets a value it is
+# declared to take, so that resolution often gets past the type checks
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                  max_size=3),
+    max_leaves=6)
+# every declared parameter name, and names no action or claim declares
+PARAM_NAMES = sorted({name for *_, name, _ in DECLARED} | {"seed", "m", "dept"})
+
+
+def _mostly(usual, other=JSON_VALUES):
+    # usual in three draws of four, other in the fourth
+    return st.integers(0, 3).flatmap(lambda k: other if k == 2 else usual)
+
+
+def _either(*values):
+    return _mostly(st.sampled_from(values))
+
+
+FIELDS = {
+    "word": _either(None, "fibonacci", HOLUB),
+    "text": _either(None, "abaab"),
+    "claim": _either(None, *CLAIMS),
+    "params": _mostly(st.dictionaries(st.sampled_from(PARAM_NAMES),
+                                      _either(1, None, "a", [16, 32]), max_size=3)),
+    "format": _either(*cli._EXT),
+    "out": _either(None, "x.txt"),
+}
+ACTIONS = _either(*_ACTION_PARAMS, "verify", "report", "batch")
+# mostly entries with an action; else entries that may lack it or hold the
+# undeclared field seed, or JSON values that are not entries at all
+CONFIG_ENTRIES = _mostly(
+    st.fixed_dictionaries({"action": ACTIONS}, optional=FIELDS),
+    st.fixed_dictionaries({}, optional={**FIELDS, "action": ACTIONS, "seed": _either(7)})
+    | JSON_VALUES)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(CONFIG_ENTRIES)
+def test_config_resolution_returns_or_raises_a_parameter_error(entry):
+    try:
+        cfg = ExperimentConfig.from_json(entry).resolved()
+    except (TypeError, ValueError):
+        return
+    assert cfg.action in cli._RUNNERS and isinstance(cfg.params, dict)
 
 
 def test_batch_runs_of_the_wrong_type_is_a_parameter_error(tmp_path, capsys):

@@ -259,6 +259,13 @@ def _matrix_and_loop(words):
     return out.tolist(), [PY.local_periods_finite(w).tolist() for w in words]
 
 
+@pytest.mark.parametrize("maxlen,nletters", [(12, 2), (8, 3)], ids=["binary", "ternary"])
+def test_local_period_matrix_on_every_short_word(maxlen, nletters):
+    for n in range(1, maxlen + 1):
+        got, want = _matrix_and_loop(PY.word_matrix(n, nletters))
+        assert got == want, n
+
+
 @pytest.mark.parametrize("rows,n", [(0, 0), (0, 9), (4, 0), (9, 1)])
 def test_local_period_matrix_on_empty_and_one_column_shapes(rows, n):
     words = np.random.default_rng(rows + n).integers(0, 3, (rows, n), dtype=np.uint8)

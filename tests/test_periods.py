@@ -18,7 +18,6 @@ import pytest
 from periwords import kernels
 from periwords.factorize import dyadic_factorization, return_factorization
 from periwords.periods import (
-    MATRIX_MIN_WORDS,
     CapExceeded,
     PeriodProfile,
     critical_positions,
@@ -348,23 +347,6 @@ def test_table_matches_the_loop_on_mixed_lengths_and_duplicates():
     words = [rand_word(rng, 1, 20) for _ in range(400)]
     words += words[:100] + ["abaab", "abaab", "a"]
     assert_table_matches_the_loop(words)
-
-
-@pytest.mark.parametrize("count", [MATRIX_MIN_WORDS - 1, MATRIX_MIN_WORDS, MATRIX_MIN_WORDS + 1],
-                         ids=["below", "at", "above"])
-def test_table_takes_the_matrix_from_the_crossover_on(count, monkeypatch):
-    calls = []
-    matrix = kernels.active.local_period_matrix
-
-    def spy(words):
-        calls.append(words.shape)
-        return matrix(words)
-
-    monkeypatch.setattr(kernels.active, "local_period_matrix", spy)
-    # count distinct words of length 10, each given twice
-    words = [format(c, "010b").replace("0", "a").replace("1", "b") for c in range(count)]
-    assert_table_matches_the_loop(words + words)
-    assert calls == ([(count, 10)] if count >= MATRIX_MIN_WORDS else [])
 
 
 @pytest.mark.parametrize("descriptor,markers", [
