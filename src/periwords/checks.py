@@ -58,6 +58,7 @@ from .words import (
     holub_toeplitz,
     holub_u,
     holub_word,
+    parse_descriptor,
     predicted_peak_period,
     predicted_witness,
     random_binary_words,
@@ -124,19 +125,21 @@ class ClaimSpec:
 
     claim_id: str
     checker: str
-    kind: str  # "holub" | "source" | "none": what the first parameter takes
+    subject: type | None  # HolubParams, WordSource or None: what the first parameter takes
     params: dict  # name -> (annotation, default) of every parameter after the subject
 
-    def run(self, params: dict, source: WordSource | None) -> VerificationReport:
-        """Run the checker on the subject ``source`` stands for."""
+    def run(self, params: dict, word: str | None) -> VerificationReport:
+        """Run the checker on the subject the descriptor ``word`` names."""
         checker = globals()[self.checker]
-        if self.kind == "none":
+        if self.subject is None:
             return checker(**params)
-        if self.kind == "holub":
+        if not word:
+            raise ValueError(f"claim {self.claim_id!r} needs --word")
+        source = parse_descriptor(word)
+        if self.subject is HolubParams:
             holub = getattr(source, "params", None)
             if holub is None:
-                name = source.descriptor if source is not None else "(none)"
-                raise ValueError(f"this claim needs a holub-family word, got {name}")
+                raise ValueError(f"this claim needs a holub-family word, got {source.descriptor}")
             return checker(holub, **params)
         if source.has_holes:
             raise ValueError(f"cannot check {self.claim_id} on {source.descriptor}: "
@@ -145,13 +148,6 @@ class ClaimSpec:
 
 
 CLAIMS: dict[str, ClaimSpec] = {}
-
-# the kind of each subject a checker's first parameter may take, and the
-# descriptor its reports record as "word"
-_SUBJECTS = {
-    HolubParams: ("holub", lambda params: "holub:" + params.descriptor_body()),
-    WordSource: ("source", lambda source: source.descriptor),
-}
 
 
 def _claim(claim_id: str):
@@ -167,10 +163,10 @@ def _claim(claim_id: str):
     def declare(checker):
         signature = inspect.signature(checker, eval_str=True)
         first, *rest = signature.parameters.values()
-        kind, describe = _SUBJECTS.get(first.annotation, ("none", None))
-        if kind == "none":
+        subject = first.annotation if first.annotation in (HolubParams, WordSource) else None
+        if subject is None:
             rest = [first, *rest]
-        CLAIMS[claim_id] = ClaimSpec(claim_id, checker.__name__, kind,
+        CLAIMS[claim_id] = ClaimSpec(claim_id, checker.__name__, subject,
                                      {p.name: (p.annotation, p.default) for p in rest})
 
         @functools.wraps(checker)
@@ -183,8 +179,8 @@ def _claim(claim_id: str):
                     raise ValueError(f"{name} must not be negative, got {value}")
             report = checker(*args, **kwargs)
             recorded = dict(call.arguments)
-            if describe is not None:
-                recorded = {"word": describe(recorded.pop(first.name)), **recorded}
+            if subject is not None:
+                recorded = {"word": recorded.pop(first.name).descriptor, **recorded}
             report.claim = claim_id
             report.params = {**recorded, **report.params}
             if report.status in (PASS, WINDOWED) and report.instances == 0:

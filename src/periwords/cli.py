@@ -72,19 +72,20 @@ class ExperimentConfig:
         return cls(**{**data, "params": dict(data["params"])})
 
     def resolved(self) -> "ExperimentConfig":
-        """Copy with every applicable default written out explicitly.
+        """Copy with every parameter the run reads, its default written out.
 
         Raises ValueError for a parameter or subject field the action or
-        claim does not take, and TypeError for a value its declared
-        annotation does not admit.
+        claim does not take, or that this run does not read, and TypeError
+        for a value its declared annotation does not admit.
         """
         if self.action == "verify":
-            spec = _claim_spec(self.claim)
+            spec = CLAIMS.get(self.claim or "")
+            if spec is None:
+                known = ", ".join(sorted(CLAIMS))
+                raise ValueError(f"unknown claim {self.claim!r}; known claims: {known}")
             owner, table = self.claim, spec.params
-        elif self.action == "report":
-            owner, table = self.action, _REPORT_PARAMS
-        elif self.action in _ACTION_PARAMS:
-            owner, table = self.action, _ACTION_PARAMS[self.action]
+        elif self.action in _ACTIONS:
+            owner, table = self.action, _ACTIONS[self.action][1]
         else:
             raise ValueError(f"unknown action {self.action!r}")
         unknown = sorted(set(self.params) - set(table))
@@ -98,24 +99,41 @@ class ExperimentConfig:
             raise ValueError(f"field 'text' is read by profile only, not by {self.action}")
         if self.text is not None and self.word is not None:
             raise ValueError("fields 'text' and 'word' both name the subject; give one")
-        if self.word is not None and self.action == "verify" and spec.kind == "none":
+        if self.word is not None and self.action == "verify" and spec.subject is None:
             raise ValueError(f"field 'word' is not read by claim {self.claim!r}, "
                              "which takes no word")
-        defaults = {name: default for name, (_, default) in table.items()}
+        unread, where = set(), ""
+        if self.action == "factorize":
+            mode = self.params.get("mode", table["mode"][1])
+            unread, where = _UNREAD_IN_MODE[mode], f"in {mode} mode"
+        elif self.action == "profile" and self.text is not None:
+            unread, where = {"n", "cap"}, "with field 'text'"
+        given = sorted(unread & set(self.params))
+        if given:
+            raise ValueError(f"parameters {given} are not read {where}")
+        defaults = {name: default for name, (_, default) in table.items() if name not in unread}
         return replace(self, params={**defaults, **self.params})
 
 
-# name -> (annotation, default) of the parameters of each action that runs no
-# checker; verify takes the claim's, report the divergence claim's
-_ACTION_PARAMS: dict[str, dict] = {
-    "generate": {"n": (int, 64)},
-    "profile": {"n": (int, 64), "cap": (int | None, None)},
-    "factorize": {"z": (str | None, None), "mode": (Literal["return", "dyadic"], "return"),
-                  "level": (int, 1), "horizon": (int, 4096), "exponent": (int | None, None),
-                  "alpha_power": (bool, False)},
-    "alpha": {"depth": (int, 2), "horizon": (int, 10_000), "repetition_bound": (int | None, None)},
+# action -> (help line, name -> (annotation, default) of its parameters).
+# verify's table is every claim's parameters, for its flags only: a verify
+# run takes its claim's own; report takes the divergence claim's.
+_ACTIONS: dict[str, tuple[str, dict]] = {
+    "generate": ("print a prefix of a word", {"n": (int, 64)}),
+    "profile": ("local periods and running complexity",
+                {"n": (int, 64), "cap": (int | None, None)}),
+    "factorize": ("return-word or power-of-two factorization",
+                  {"z": (str | None, None), "mode": (Literal["return", "dyadic"], "return"),
+                   "level": (int, 1), "horizon": (int, 4096), "exponent": (int | None, None),
+                   "alpha_power": (bool, False)}),
+    "alpha": ("minimal-return chain",
+              {"depth": (int, 2), "horizon": (int, 10_000), "repetition_bound": (int | None, None)}),
+    "verify": ("run one claim checker",
+               {name: entry for spec in CLAIMS.values() for name, entry in spec.params.items()}),
+    "report": ("complexity trend at checkpoints", CLAIMS["divergence"].params),
 }
-_REPORT_PARAMS = next(s.params for s in CLAIMS.values() if s.checker == "divergence_report")
+# mode -> the factorize parameters that only the other mode reads
+_UNREAD_IN_MODE = {"return": {"level"}, "dyadic": {"z", "exponent", "alpha_power"}}
 
 
 def _admits(annotation, value) -> bool:
@@ -138,18 +156,6 @@ def _admits(annotation, value) -> bool:
 def _check_type(what: str, annotation, value) -> None:
     if not _admits(annotation, value):
         raise TypeError(f"{what} takes {inspect.formatannotation(annotation)}, got {value!r}")
-
-
-# ---------------------------------------------------------------------------
-# claim lookup
-
-
-def _claim_spec(claim: str | None):
-    spec = CLAIMS.get(claim or "")
-    if spec is None:
-        known = ", ".join(sorted(CLAIMS))
-        raise ValueError(f"unknown claim {claim!r}; known claims: {known}")
-    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -358,13 +364,7 @@ def _run_alpha(cfg: ExperimentConfig) -> None:
 
 
 def _run_verify(cfg: ExperimentConfig) -> str:
-    spec = _claim_spec(cfg.claim)
-    source = None
-    if spec.kind != "none":
-        if not cfg.word:
-            raise ValueError(f"claim {spec.claim_id!r} needs --word")
-        source = parse_descriptor(cfg.word)
-    rep = spec.run(cfg.params, source)
+    rep = CLAIMS[cfg.claim].run(cfg.params, cfg.word)
     if cfg.format == "json":
         _emit(cfg, _json_text(rep.to_json()))
     elif cfg.format == "csv":
@@ -382,8 +382,7 @@ def _run_verify(cfg: ExperimentConfig) -> str:
 
 
 def _run_report(cfg: ExperimentConfig) -> str:
-    source = parse_descriptor(cfg.word or "")
-    rep = checks.divergence_report(source, **cfg.params)
+    rep = CLAIMS["divergence"].run(cfg.params, cfg.word)
     if cfg.format == "csv":
         rows = [
             [r["i"], r["h_numerator"], r["h_denominator"], r["h_approx"], r["capped"]]
@@ -504,31 +503,20 @@ def _build_parser() -> _Parser:
                   description="local periods and periodicity complexity toolkit")
     sub = top.add_subparsers(dest="action", required=True)
 
-    def common(name, help_):
-        p = sub.add_parser(name, help=help_)
+    for action, (help_, params) in _ACTIONS.items():
+        p = sub.add_parser(action, help=help_)
         p.add_argument("--word", help="word descriptor, e.g. fibonacci, holub:n=2,2;tail=repeat")
         p.add_argument("--format", choices=list(_EXT), default="text")
         p.add_argument("--out", help="output path (default stdout)")
-        return p
-
-    def param_flags(p, params):
+        if action == "profile":
+            p.add_argument("--text", help="literal finite word instead of --word")
+        if action == "verify":
+            p.add_argument("--claim", required=True, help=", ".join(sorted(CLAIMS)))
         # no defaults here: resolved() fills in every parameter not given
         for name, (annotation, _) in params.items():
             flags = ["--J", "--I", "--K"] if name == "depth" else []
             p.add_argument(*flags, "--" + name.replace("_", "-"), dest=name,
                            **_flag_reader(annotation))
-
-    param_flags(common("generate", "print a prefix of a word"), _ACTION_PARAMS["generate"])
-    pr = common("profile", "local periods and running complexity")
-    pr.add_argument("--text", help="literal finite word instead of --word")
-    param_flags(pr, _ACTION_PARAMS["profile"])
-    param_flags(common("factorize", "return-word or power-of-two factorization"),
-                _ACTION_PARAMS["factorize"])
-    param_flags(common("alpha", "minimal-return chain"), _ACTION_PARAMS["alpha"])
-    ve = common("verify", "run one claim checker")
-    ve.add_argument("--claim", required=True, help=", ".join(sorted(CLAIMS)))
-    param_flags(ve, {name: entry for spec in CLAIMS.values() for name, entry in spec.params.items()})
-    param_flags(common("report", "complexity trend at checkpoints"), _REPORT_PARAMS)
 
     ba = sub.add_parser("batch", help="run a JSON list of configs")
     ba.add_argument("--config", required=True)

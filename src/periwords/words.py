@@ -318,12 +318,17 @@ class HolubParams:
         body += ";tail=repeat" if self.tail == "repeat" else f";tail=step:{self.step}"
         return body + (";strict=1" if self.strictly_increasing else "")
 
+    @property
+    def descriptor(self) -> str:
+        """The descriptor of the word these exponents build."""
+        return "holub:" + self.descriptor_body()
+
 
 def holub_u(params: HolubParams, j: int) -> str:
     """Finite stage word u_j: u_0 is empty, u_j = u_(j-1) a (u_(j-1) b)^n_j u_(j-1)."""
     if j < 0:
         raise ValueError("stage must be >= 0")
-    _check_size(params.block_length(j) - 1, f"u_{j} of holub:{params.descriptor_body()}")
+    _check_size(params.block_length(j) - 1, f"u_{j} of {params.descriptor}")
     u = ""
     for t in range(1, j + 1):
         u = u + "a" + (u + "b") * params.n(t) + u
@@ -334,7 +339,7 @@ class HolubSource(WordSource):
     """Limit of the nested stage words u_j (each u_j is a prefix of the next)."""
 
     def __init__(self, params: HolubParams):
-        super().__init__(f"holub:{params.descriptor_body()}", BINARY)
+        super().__init__(params.descriptor, BINARY)
         self.params = params
 
     def _generate(self, n: int) -> str:
@@ -404,14 +409,11 @@ class FormulaSource(WordSource):
 class ToeplitzSource(WordSource):
     """Fill the holes of base, in order, with the letters of filler."""
 
-    def __init__(self, base: WordSource, filler: WordSource, scan_horizon: int = 4096):
+    def __init__(self, base: WordSource, filler: WordSource):
         if base.alphabet.letters != filler.alphabet.letters:
             raise ValueError("base and filler must share an alphabet")
-        if HOLE not in base.prefix(scan_horizon):
-            raise ValueError(
-                f"base {base.descriptor!r} shows no holes within the first "
-                f"{scan_horizon} letters; a hole pattern is required"
-            )
+        if not base.has_holes:
+            raise ValueError(f"base {base.descriptor!r} has no holes to fill")
         super().__init__(
             f"toeplitz({base.descriptor};{filler.descriptor})",
             base.alphabet,
@@ -427,9 +429,9 @@ class ToeplitzSource(WordSource):
         return out.tobytes().decode("ascii")
 
 
-def toeplitz_fill(base: WordSource, filler: WordSource, scan_horizon: int = 4096) -> ToeplitzSource:
+def toeplitz_fill(base: WordSource, filler: WordSource) -> ToeplitzSource:
     """Substitute filler letters into the holes of base, left to right."""
-    return ToeplitzSource(base, filler, scan_horizon=scan_horizon)
+    return ToeplitzSource(base, filler)
 
 
 def hole_source(alphabet: Alphabet = BINARY) -> PeriodicSource:
@@ -447,12 +449,14 @@ def holub_toeplitz(params: HolubParams, stage: int) -> WordSource:
         raise ValueError("stage must be >= 0")
     w: WordSource = hole_source()
     for i in range(1, stage + 1):
+        # the holes stage i fills sit at multiples of block_length(i-1), so
+        # past the prefix limit no prefix reaches one
+        _check_size(params.block_length(i - 1),
+                    f"the first hole of stage {i - 1} of toeplitz:{params.descriptor_body()}")
         _check_size(params.n(i) + 2,
                     f"the stage-{i} pattern of toeplitz:{params.descriptor_body()}")
         pattern = "a" + "b" * params.n(i) + HOLE
-        # holes of the previous stage sit at multiples of its block length,
-        # so the default scan horizon is too short once blocks outgrow it
-        w = ToeplitzSource(w, PeriodicSource(pattern), scan_horizon=params.block_length(i - 1))
+        w = ToeplitzSource(w, PeriodicSource(pattern))
     w.descriptor = f"toeplitz:{params.descriptor_body()};stage={stage}"
     return w
 

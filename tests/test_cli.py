@@ -1,13 +1,18 @@
 """Command-line surface: exit codes, formats, config round-trips, batches."""
 
+import contextlib
+import csv
+import io
+import itertools
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from typing import Literal
+from typing import Literal, get_args
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,7 +21,7 @@ from hypothesis import strategies as st
 from periwords import checks, cli
 from periwords.checks import DEFAULT_SEED
 from periwords.cli import (
-    _ACTION_PARAMS,
+    _ACTIONS,
     _ERRORS,
     CLAIMS,
     ExperimentConfig,
@@ -28,9 +33,9 @@ from periwords.cli import (
     run,
     run_batch,
 )
-from periwords.factorize import dyadic_factorization, return_factorization
-from periwords.periods import PeriodProfile, h_of
-from periwords.words import MAX_PREFIX, parse_descriptor
+from periwords.factorize import alpha_chain, dyadic_factorization, return_factorization
+from periwords.periods import PeriodProfile, h_of, profile
+from periwords.words import MAX_PREFIX, HolubParams, WordSource, parse_descriptor
 
 HOLUB = "holub:n=2,2;tail=repeat"
 
@@ -292,6 +297,145 @@ def test_report_csv(capsys):
     assert len(lines) == 4
 
 
+# every (action, format) pair once, each expected output built from library
+# calls and the csv and json modules, never from a renderer of cli
+
+
+def _json(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def _csv(header, rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+    return buf.getvalue()
+
+
+def _report_lines(rep) -> str:
+    lines = [f"claim:     {rep.claim}", f"status:    {rep.status}", f"instances: {rep.instances}"]
+    if rep.notes:
+        lines.append(f"notes:     {rep.notes}")
+    lines += ["  " + "  ".join(f"{k}={v}" for k, v in row.items()) for row in rep.details]
+    if rep.counterexample is not None:
+        lines += ["counterexample:", *(f"  {k}: {v}" for k, v in rep.counterexample.items())]
+    return "\n".join(lines) + "\n"
+
+
+def _generated(fmt):
+    letters = parse_descriptor("fibonacci").prefix(70)
+    if fmt == "json":
+        return _json({"descriptor": "fibonacci", "n": 70, "letters": letters})
+    if fmt == "csv":
+        return _csv(["index", "letter"], enumerate(letters, 1))
+    return f"       1  {letters[:64]}\n      65  {letters[64:]}\n"
+
+
+def _profiled(fmt):
+    # the scan cap hits at position 3, so most rows have no h
+    prof = profile(parse_descriptor("thue-morse"), n=12, cap=3)
+    header = ["index", "local_period", "h_numerator", "h_denominator", "h_approx"]
+    if fmt == "json":
+        return _json(prof.to_json())
+    if fmt == "csv":
+        return _csv(header, [[r[k] for k in header] for r in prof.rows()])
+    lines = ["subject: thue-morse", f"{'i':>6} {'p(i)':>8} {'h(i)':>12}"]
+    for r in prof.rows():
+        h = "-" if r["h_numerator"] is None else f"{r['h_numerator']}/{r['h_denominator']}"
+        lines.append(f"{r['index']:>6} {r['local_period']:>8} {h:>12}")
+    return "\n".join(lines) + "\n"
+
+
+def _return_factorized(fmt):
+    # 93 return words, so the text lists 40 and counts the rest
+    fact = return_factorization(parse_descriptor("fibonacci"), "aa", 400)
+    if fmt == "json":
+        return _json(fact.to_json())
+    if fmt == "csv":
+        return _block_csv(fact.returns, fact.boundaries(), 1)
+    data = fact.to_json()
+    lines = [f"{k}: {data[k]}" for k in ("z", "e", "preamble", "m_k", "mu_k", "horizon")]
+    lines += ["returns (93):", *(f"  {w}" for w in fact.returns[:40]), "  ... 53 more"]
+    return "\n".join(lines) + "\n"
+
+
+def _dyadic_factorized(fmt):
+    dy = dyadic_factorization(parse_descriptor("thue-morse"), 2, 64)
+    if fmt == "csv":
+        return _block_csv(dy.blocks, range(0, dy.horizon, dy.block_length), 0)
+    return _json(dy.to_json())  # the text form prints the JSON too
+
+
+def _alpha_chained(fmt):
+    chain = alpha_chain(parse_descriptor("fibonacci"), 2, 2000)
+    if fmt == "json":
+        return _json(chain.to_json())
+    if fmt == "csv":
+        return _csv(["alpha", "exponent", "horizon"],
+                    [[e.alpha, e.exponent, e.horizon] for e in chain.entries])
+    lines = [f"alphabet: {chain.alphabet}", f"exponents certified: {chain.exponents_certified}"]
+    lines += [f"  level {t}: alpha={e.alpha!r} exponent={e.exponent}"
+              for t, e in enumerate(chain.entries, 1)]
+    return "\n".join(lines) + "\n"
+
+
+def _verified(fmt):
+    # a fail, so the text carries its details and counterexample
+    rep = checks.check_peak_average(parse_descriptor(HOLUB).params, depth=2)
+    if fmt == "json":
+        return _json(rep.to_json())
+    if fmt == "csv":
+        return _csv(["claim", "status", "instances", "notes"],
+                    [[rep.claim, rep.status, rep.instances, rep.notes]])
+    return _report_lines(rep)
+
+
+def _reported(fmt):
+    # a windowed pass, so the text carries its notes
+    rep = checks.divergence_report(parse_descriptor("fibonacci"), checkpoints=(16, 32, 64))
+    if fmt == "json":
+        return _json(rep.to_json())
+    if fmt == "csv":
+        return _csv(["i", "h_numerator", "h_denominator", "h_approx", "capped"],
+                    [[r["i"], r["h_numerator"], r["h_denominator"], r["h_approx"], r["capped"]]
+                     for r in rep.details])
+    return _report_lines(rep)
+
+
+# run -> (argv without --format, exit code, expected output of each format)
+RENDERED = {
+    "generate": (["generate", "--word", "fibonacci", "--n", "70"], 0, _generated),
+    "profile": (["profile", "--word", "thue-morse", "--n", "12", "--cap", "3"], 0, _profiled),
+    "factorize-return": (["factorize", "--word", "fibonacci", "--z", "aa", "--horizon", "400"],
+                         0, _return_factorized),
+    "factorize-dyadic": (["factorize", "--word", "thue-morse", "--mode", "dyadic",
+                          "--level", "2", "--horizon", "64"], 0, _dyadic_factorized),
+    "alpha": (["alpha", "--word", "fibonacci", "--K", "2", "--horizon", "2000"], 0,
+              _alpha_chained),
+    "verify": (["verify", "--word", HOLUB, "--claim", "peak-average", "--J", "2"], 2, _verified),
+    "report": (["report", "--word", "fibonacci", "--checkpoints", "16,32,64"], 0, _reported),
+}
+
+
+def test_every_action_has_a_rendered_run():
+    assert {run.split("-")[0] for run in RENDERED} == set(_ACTIONS)
+
+
+@pytest.mark.parametrize("fmt", list(cli._EXT))
+@pytest.mark.parametrize("run_name", list(RENDERED))
+def test_every_action_renders_every_format(run_name, fmt, capsys):
+    argv, code, expected = RENDERED[run_name]
+    assert main([*argv, "--format", fmt]) == code
+    assert out_of(capsys) == expected(fmt)
+
+
+def test_return_mode_without_a_marker_is_a_parameter_error(tmp_path, capsys):
+    message = "factorize needs --z for return mode"
+    assert main(["factorize", "--word", "fibonacci"]) == 1
+    assert capsys.readouterr() == ("", f"parameter error: {message}\n")
+    assert _batch_error(tmp_path, {"action": "factorize", "word": "fibonacci"}) == (
+        f"ValueError: {message}")
+
+
 # ---------------------------------------------------------------------------
 # the row-template renderers against the json.dumps and csv.writer routes
 
@@ -494,7 +638,28 @@ def test_run_calls_the_checker_that_checks_holds_at_call_time(monkeypatch, capsy
 def test_claim_registry_is_complete():
     assert "big" in CLAIMS
     for spec in CLAIMS.values():
-        assert spec.kind in ("holub", "source", "none")
+        assert spec.subject in (HolubParams, WordSource, None)
+
+
+def test_readme_claims_table_follows_the_registry():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = readme.splitlines()
+    start = lines.index("| claim | checker | needs | checks |") + 2
+    rows = {}
+    for line in itertools.takewhile(lambda line: line.startswith("|"), lines[start:]):
+        # the cells between unescaped pipes, without their code quotes
+        _, claim, checker, needs, claim_text, _ = (
+            cell.strip().replace("`", "").replace("\\|", "|")
+            for cell in re.split(r"(?<!\\)\|", line))
+        rows[claim] = (checker, needs, claim_text)
+    assert set(rows) == set(CLAIMS)
+    needs_of = {HolubParams: "holub word", WordSource: "any word", None: "—"}
+    for claim, (checker, needs, claim_text) in rows.items():
+        spec = CLAIMS[claim]
+        assert checker == spec.checker, claim
+        assert needs == needs_of[spec.subject], claim
+        first_line = getattr(checks, spec.checker).__doc__.splitlines()[0]
+        assert claim_text.startswith(first_line), claim
 
 
 # (word, params) of one cheap call of every claim
@@ -527,7 +692,7 @@ def test_every_claim_records_exactly_its_declared_parameters(tmp_path, claim):
                          format="json", out=str(out)))
     rep = json.loads(out.read_text(encoding="utf-8"))
     assert rep["claim"] == claim
-    expected = set(spec.params) | ({"word"} if spec.kind != "none" else set())
+    expected = set(spec.params) | ({"word"} if spec.subject is not None else set())
     assert set(rep["params"]) == expected
     for name, value in params.items():
         assert rep["params"][name] == value, name
@@ -652,9 +817,8 @@ def test_batch_parameter_types_follow_the_checker_annotations(tmp_path, entry, e
 # (action, claim, owner, name, annotation) of every declared parameter
 DECLARED = (
     [(action, None, action, name, annotation)
-     for action, table in _ACTION_PARAMS.items() for name, (annotation, _) in table.items()]
-    + [("report", None, "report", name, annotation)
-       for name, (annotation, _) in CLAIMS["divergence"].params.items()]
+     for action, (_, table) in _ACTIONS.items() if action != "verify"
+     for name, (annotation, _) in table.items()]
     + [("verify", claim, claim, name, annotation)
        for claim, spec in CLAIMS.items() for name, (annotation, _) in spec.params.items()]
 )
@@ -793,7 +957,24 @@ def _batch_error(tmp_path, entry) -> str:
     (["verify", "--claim", "big", "--word", HOLUB, "--seed", "5"],
      {"action": "verify", "claim": "big", "word": HOLUB, "params": {"seed": 5}},
      "unknown parameters for big: ['seed']"),
-], ids=["word-on-a-wordless-claim", "text-and-word", "seed-on-a-seedless-claim"])
+    (["factorize", "--word", "fibonacci", "--mode", "dyadic", "--level", "2", "--horizon", "64",
+      "--z", "bb", "--exponent", "9", "--format", "csv"],
+     {"action": "factorize", "word": "fibonacci", "format": "csv",
+      "params": {"mode": "dyadic", "level": 2, "horizon": 64, "z": "bb", "exponent": 9}},
+     "parameters ['exponent', 'z'] are not read in dyadic mode"),
+    (["factorize", "--word", "fibonacci", "--mode", "dyadic", "--alpha-power"],
+     {"action": "factorize", "word": "fibonacci",
+      "params": {"mode": "dyadic", "alpha_power": False}},
+     "parameters ['alpha_power'] are not read in dyadic mode"),
+    (["factorize", "--word", "fibonacci", "--z", "aa", "--level", "3"],
+     {"action": "factorize", "word": "fibonacci", "params": {"z": "aa", "level": 3}},
+     "parameters ['level'] are not read in return mode"),
+    (["profile", "--text", "abaab", "--n", "99", "--cap", "1", "--format", "csv"],
+     {"action": "profile", "text": "abaab", "params": {"n": 99, "cap": 1}, "format": "csv"},
+     "parameters ['cap', 'n'] are not read with field 'text'"),
+], ids=["word-on-a-wordless-claim", "text-and-word", "seed-on-a-seedless-claim",
+        "return-parameters-in-dyadic-mode", "alpha-power-in-dyadic-mode",
+        "level-in-return-mode", "scan-bounds-of-a-text"])
 def test_a_field_or_parameter_the_run_does_not_read_is_refused(argv, entry, message, tmp_path,
                                                                capsys):
     assert main(argv) == 1
@@ -841,6 +1022,27 @@ def test_seed_is_a_flag_of_verify_only(argv, tmp_path, capsys):
         f"ValueError: unknown parameters for {argv[0]}: ['seed']")
 
 
+def test_resolved_writes_out_only_the_parameters_the_run_reads():
+    dyadic = ExperimentConfig(action="factorize", word="fibonacci", params={"mode": "dyadic"})
+    assert dyadic.resolved().params == {"mode": "dyadic", "level": 1, "horizon": 4096}
+    text = ExperimentConfig(action="profile", text="abaab").resolved()
+    assert text.params == {}
+    # a resolved config resolves to itself, so its JSON runs again
+    for cfg in (dyadic.resolved(), text):
+        assert ExperimentConfig.from_json(cfg.to_json()).resolved() == cfg
+
+
+@pytest.mark.parametrize("word,message", [
+    (None, "claim 'divergence' needs --word"),
+    ("periodic:ab?", "cannot check divergence on periodic:ab?: it has holes ('?')"),
+], ids=["no-word", "holed-word"])
+def test_report_fails_the_way_verify_divergence_does(word, message, capsys):
+    given = ["--word", word] if word else []
+    for argv in (["report", *given], ["verify", "--claim", "divergence", *given]):
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"parameter error: {message}\n")
+
+
 def test_verify_seed_is_the_claims_seed_parameter(capsys):
     assert main(["verify", "--claim", "factor-bound", "--trials", "30", "--seed", "7",
                  "--format", "json"]) == 0
@@ -876,7 +1078,7 @@ FIELDS = {
     "format": _either(*cli._EXT),
     "out": _either(None, "x.txt"),
 }
-ACTIONS = _either(*_ACTION_PARAMS, "verify", "report", "batch")
+ACTIONS = _either(*_ACTIONS, "batch")
 # mostly entries with an action; else entries that may lack it or hold the
 # undeclared field seed, or JSON values that are not entries at all
 CONFIG_ENTRIES = _mostly(
@@ -893,6 +1095,178 @@ def test_config_resolution_returns_or_raises_a_parameter_error(entry):
     except (TypeError, ValueError):
         return
     assert cfg.action in cli._RUNNERS and isinstance(cfg.params, dict)
+
+
+# ---------------------------------------------------------------------------
+# the descriptor grammar, fuzzed through cli.main
+
+# binary letters, a letter outside the binary alphabet, the hole and a
+# non-ASCII letter
+FUZZ_LETTERS = "abc?é"
+# an exponent, stage or step: mostly small and valid, else zero, one, or past
+# the prefix limit and unbounded above, so that words.MAX_PREFIX must refuse
+# it before anything is allocated
+EXPONENTS = _mostly(st.integers(2, 6), st.integers(0, 1) | st.integers(min_value=MAX_PREFIX))
+
+
+def _kv(pairs: dict) -> str:
+    return ";".join(f"{k}={v}" for k, v in pairs.items())
+
+
+_EXPONENT_LISTS = st.lists(EXPONENTS, min_size=1, max_size=4)
+_HOLUB_BODIES = st.fixed_dictionaries(
+    {"n": _mostly(_EXPONENT_LISTS.map(sorted), _EXPONENT_LISTS).map(
+        lambda ns: ",".join(map(str, ns)))},
+    optional={"tail": _either("repeat", "step", "loop") | EXPONENTS.map(lambda k: f"step:{k}"),
+              "strict": st.sampled_from(["0", "1"])},
+).map(_kv)
+_RULES = _mostly(
+    st.fixed_dictionaries({"a": st.text("ab", max_size=3).map(lambda t: "a" + t),
+                           "b": st.text("ab", min_size=1, max_size=3)}),
+    st.dictionaries(st.sampled_from(FUZZ_LETTERS), st.text(FUZZ_LETTERS, max_size=4),
+                    min_size=1, max_size=3))
+_MORPHIC_BODIES = st.builds(
+    lambda rules, seed: ",".join(f"{k}={v}" for k, v in rules.items()) + f";seed={seed}",
+    _RULES, _either("a", "b", "", "é"))
+FAMILIES = ["fibonacci", "thue-morse", "periodic", "morphic", "holub", "holub-formula",
+            "toeplitz"]
+DESCRIPTORS = _mostly(
+    st.one_of(
+        st.sampled_from(["fibonacci", "thue-morse"]),
+        _mostly(st.text("ab", min_size=1, max_size=6), st.text(FUZZ_LETTERS, max_size=6)).map(
+            lambda p: "periodic:" + p),
+        _MORPHIC_BODIES.map(lambda b: "morphic:" + b),
+        _HOLUB_BODIES.map(lambda b: "holub:" + b),
+        _HOLUB_BODIES.map(lambda b: "holub-formula:" + b),
+        st.builds(lambda body, stage: f"toeplitz:{body};stage={stage}", _HOLUB_BODIES, EXPONENTS),
+    ),
+    # malformed bodies: any family, any text of the grammar's characters
+    st.sampled_from(["", "nosuch", " fibonacci "])
+    | st.builds(lambda family, body: f"{family}:{body}", st.sampled_from(FAMILIES),
+                st.text(FUZZ_LETTERS + ":;=,-0123456789", max_size=16)),
+)
+
+def _count(top: int):
+    # mostly 1..top, else -1 or 0
+    return _mostly(st.integers(1, top), st.integers(-1, 0))
+
+
+# each parameter's values, bounded so that no run allocates more than a few
+# MB; None is added where the parameter's annotation admits it
+FUZZ_PARAMS = {
+    "n": _count(80), "cap": _count(40), "z": st.text(FUZZ_LETTERS, max_size=3),
+    "mode": st.sampled_from(["return", "dyadic"]), "level": _count(5), "horizon": _count(600),
+    "exponent": _count(4), "alpha_power": st.booleans(), "depth": _count(2),
+    "repetition_bound": _count(4), "stage": _count(4), "max_factor_len": _count(4),
+    "k": _count(3), "kprime": _count(6), "window": _count(4), "trials": _count(30),
+    "maxlen": _count(8), "seed": st.integers(-5, 5), "alphabet_size": _count(4),
+    "checkpoints": st.lists(_count(100), max_size=4), "trend_from": _count(100),
+}
+# the parameters always given, since their defaults take up to 10^4 letters or trials
+FUZZ_REQUIRED = {"n", "horizon", "trials", "maxlen", "checkpoints"}
+
+
+def _fuzz_value(annotation, name):
+    values = FUZZ_PARAMS[name]
+    return st.none() | values if type(None) in get_args(annotation) else values
+
+
+@st.composite
+def fuzzed_runs(draw):
+    """A config entry and whether it goes through batch; each value fits its parameter."""
+    action = draw(st.sampled_from(list(_ACTIONS)))
+    entry = {"action": action, "format": draw(st.sampled_from(list(cli._EXT)))}
+    table = _ACTIONS[action][1]
+    word = st.none() | DESCRIPTORS
+    if action == "verify":
+        entry["claim"] = claim = draw(st.sampled_from([*CLAIMS, "nosuch"]))
+        table = CLAIMS[claim].params if claim in CLAIMS else {}
+        if claim not in CLAIMS or CLAIMS[claim].subject is None:
+            word = _mostly(st.none(), DESCRIPTORS)
+    if action == "profile" and draw(st.booleans()):
+        entry["text"] = draw(st.text(FUZZ_LETTERS, max_size=12))
+    else:
+        entry["word"] = draw(_mostly(DESCRIPTORS, word))
+    values = {k: _fuzz_value(annotation, k) for k, (annotation, _) in table.items()}
+    params = draw(st.fixed_dictionaries(
+        {k: v for k, v in values.items() if k in FUZZ_REQUIRED},
+        optional={k: v for k, v in values.items() if k not in FUZZ_REQUIRED}))
+    # mostly only what the run reads: a text needs no scan bounds, and each
+    # factorize mode reads parameters of its own
+    unread = set()
+    if "text" in entry:
+        unread = {"n", "cap"}
+    elif action == "factorize":
+        unread = cli._UNREAD_IN_MODE[params.get("mode", "return")]
+    if draw(st.integers(0, 3)):
+        params = {k: v for k, v in params.items() if k not in unread}
+    entry["params"] = params
+    return entry, draw(st.booleans())
+
+
+def _flags(entry: dict) -> list[str]:
+    argv = [entry["action"], "--format", entry["format"]]
+    for field_ in ("word", "text", "claim"):
+        if entry.get(field_) is not None:
+            argv += [f"--{field_}", entry[field_]]
+    for name, value in entry["params"].items():
+        flag = "--" + name.replace("_", "-")
+        if isinstance(value, bool):
+            argv += [flag] if value else []
+        elif isinstance(value, list):
+            argv += [flag, ",".join(map(str, value))]
+        else:
+            argv += [flag, "none" if value is None else str(value)]
+    return argv
+
+
+PREFIXES = tuple(_ERRORS.values()) + ("usage error",)
+
+
+def _main_in(work: Path, argv: list[str]) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of cli.main run with work as the current directory."""
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(work)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's usage errors
+                code = exc.code
+    finally:
+        os.chdir(cwd)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(fuzzed_runs())
+# a stage whose holes no prefix reaches is refused before any stage is built
+@example(({"action": "generate", "format": "text", "word": "toeplitz:n=2;stage=1000000000",
+           "params": {"n": 9}}, False))
+def test_a_fuzzed_run_exits_with_a_code_and_writes_only_into_its_out_dir(run):
+    entry, batch = run
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp) / "work"
+        (work / "out").mkdir(parents=True)
+        if batch:
+            (work / "batch.json").write_text(json.dumps({"runs": [entry]}), encoding="utf-8")
+            argv = ["batch", "--config", "batch.json", "--out-dir", "out"]
+        else:
+            argv = [*_flags(entry), "--out", str(work / "out" / "artifact")]
+        code, _, err = _main_in(work, argv)
+        assert sorted(os.listdir(tmp)) == ["work"]
+        assert set(os.listdir(work)) <= {"out", "batch.json"}
+        written = sorted(os.listdir(work / "out"))
+    assert code in (0, 1, 2, 3), (argv, code)
+    assert "Traceback" not in err
+    if batch:
+        assert written in (["summary.json"], ["000-" + entry["action"] + "." + cli._EXT[
+            entry["format"]], "summary.json"]), written
+    else:
+        assert written in ([], ["artifact"]), written
+        if code == 1:
+            assert err.startswith(tuple(p + ": " for p in PREFIXES)), (argv, err)
 
 
 def test_batch_runs_of_the_wrong_type_is_a_parameter_error(tmp_path, capsys):

@@ -37,6 +37,7 @@ from periwords.words import (
     predicted_witness,
     encode,
     thue_morse_source,
+    toeplitz_fill,
 )
 
 P222 = HolubParams((2, 2, 2))
@@ -293,6 +294,28 @@ def test_toeplitz_fill_with_a_holed_filler_and_a_prefix_ending_in_a_hole():
         _assert_fill_matches_the_reference(src, n)
     assert src._generate(6) == "ab?bba"
     assert ToeplitzSource(hole_source(), PeriodicSource("ab"))._generate(5) == "ababa"
+
+
+def test_toeplitz_fill_takes_a_base_whose_first_hole_lies_far_out():
+    src = toeplitz_fill(PeriodicSource("a" * 5000 + HOLE), PeriodicSource("b"))
+    assert src.prefix(10_002) == ("a" * 5000 + "b") * 2
+
+
+def test_toeplitz_fill_refuses_a_base_without_holes():
+    with pytest.raises(ValueError) as info:
+        toeplitz_fill(PeriodicSource("ab"), PeriodicSource("b"))
+    assert str(info.value) == "base 'periodic:ab' has no holes to fill"
+
+
+def test_a_toeplitz_stage_whose_holes_lie_past_the_prefix_limit_is_refused():
+    # n = 2 gives blocks of 4^i letters; stage 14 would fill holes of stage 13,
+    # which sit 4^13 > MAX_PREFIX letters apart, so none is ever reached
+    holub_toeplitz(HolubParams((2,)), 13)
+    for stage in (14, 10 ** 9):
+        with pytest.raises(ValueError) as info:
+            parse_descriptor(f"toeplitz:n=2;stage={stage}")
+        assert str(info.value) == ("the first hole of stage 13 of toeplitz:n=2;tail=repeat "
+                                   f"needs {4 ** 13} letters, over the limit of {MAX_PREFIX}")
 
 
 # ---------------------------------------------------------------------------
