@@ -134,7 +134,7 @@ class ClaimSpec:
         if self.subject is None:
             return checker(**params)
         if not word:
-            raise ValueError(f"claim {self.claim_id!r} needs --word")
+            raise ValueError(f"claim {self.claim_id!r} needs a word (field 'word', flag --word)")
         source = parse_descriptor(word)
         if self.subject is HolubParams:
             holub = getattr(source, "params", None)

@@ -8,6 +8,7 @@ the full word unless a caller vouches for a known repetition bound.
 
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from . import kernels
 from .errors import InsufficientWindowError
@@ -152,18 +153,15 @@ class ReturnFactorization:
 
     @property
     def max_return_time(self) -> int:
-        return max(len(w) for w in self.returns)
+        return max(map(len, self.returns))
 
     @property
     def min_return_length(self) -> int:
-        return min(len(w) for w in self.returns)
+        return min(map(len, self.returns))
 
     def boundaries(self) -> list[int]:
         """Offsets of the marker occurrences bounding the complete blocks."""
-        out = [len(self.preamble)]
-        for w in self.returns:
-            out.append(out[-1] + len(w))
-        return out
+        return list(accumulate(map(len, self.returns), initial=len(self.preamble)))
 
     def to_json(self) -> dict:
         return {

@@ -1033,14 +1033,22 @@ def test_resolved_writes_out_only_the_parameters_the_run_reads():
 
 
 @pytest.mark.parametrize("word,message", [
-    (None, "claim 'divergence' needs --word"),
+    (None, "claim 'divergence' needs a word (field 'word', flag --word)"),
     ("periodic:ab?", "cannot check divergence on periodic:ab?: it has holes ('?')"),
 ], ids=["no-word", "holed-word"])
-def test_report_fails_the_way_verify_divergence_does(word, message, capsys):
+def test_report_fails_the_way_verify_divergence_does(word, message, capsys, tmp_path):
     given = ["--word", word] if word else []
     for argv in (["report", *given], ["verify", "--claim", "divergence", *given]):
         assert main(argv) == 1
         assert capsys.readouterr() == ("", f"parameter error: {message}\n")
+    # a batch row and a library call say the same
+    for k, entry in enumerate([{"action": "report"}, {"action": "verify", "claim": "divergence"}]):
+        entry.update({"word": word} if word else {})
+        (tmp_path / str(k)).mkdir()
+        assert _batch_error(tmp_path / str(k), entry) == f"ValueError: {message}"
+        with pytest.raises(ValueError) as info:
+            run(ExperimentConfig.from_json(entry))
+        assert str(info.value) == message
 
 
 def test_verify_seed_is_the_claims_seed_parameter(capsys):

@@ -4,6 +4,8 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -85,6 +87,43 @@ def test_words_is_the_only_module_that_encodes_letters():
             assert "frombuffer" not in text and '.encode("ascii")' not in text, path.name
 
 
+def _set_validate(alphabet, word, allow_hole=False):
+    # the set check Alphabet.validate had before its byte route: the reference
+    # for which words pass and for every message
+    allowed = set(alphabet.letters) | ({HOLE} if allow_hole else set())
+    bad = set(word) - allowed
+    if bad:
+        raise ValueError(f"letters {sorted(bad)!r} are not in alphabet {alphabet.letters!r}")
+
+
+def _set_encode(alphabet, word, allow_hole=False):
+    if not allow_hole and HOLE in word:
+        raise ValueError(f"cannot scan a word with holes ({HOLE!r})")
+    _set_validate(alphabet, word, allow_hole)
+    return [HOLE_RANK if c == HOLE else alphabet.rank(c) for c in word]
+
+
+def _outcome(check, *args):
+    try:
+        result = check(*args)
+    except ValueError as exc:
+        return "raised", str(exc)
+    return "returned", None if result is None else list(result)
+
+
+def test_the_alphabet_check_keeps_every_message():
+    # the byte route relies on alphabets being ASCII
+    with pytest.raises(ValueError):
+        Alphabet("aé")
+    words = ["".join(t) for k in range(5) for t in product("ab?cé", repeat=k)]
+    for alphabet, allow_hole in product((BINARY, Alphabet("abc")), (False, True)):
+        for word in words:
+            assert (_outcome(alphabet.validate, word, allow_hole)
+                    == _outcome(_set_validate, alphabet, word, allow_hole)), (alphabet, word)
+            assert (_outcome(alphabet.encode, word, allow_hole)
+                    == _outcome(_set_encode, alphabet, word, allow_hole)), (alphabet, word)
+
+
 def test_lex_compare_proper_prefix_is_smaller():
     assert lex_compare("a", "ab") == -1
     assert lex_compare("ab", "a") == 1
@@ -129,6 +168,76 @@ def test_morphic_rejects_non_prolongable_seed():
         MorphicSource({"a": "ab"}, "c")
     with pytest.raises(ValueError, match="empty image"):
         MorphicSource({"a": "ab", "b": ""}, "a")
+
+
+def _letter_loop(rules, seed, n):
+    # the letter-by-letter loop MorphicSource had before the image route: the
+    # reference for the first n letters of the fixed point
+    w = seed
+    while len(w) < n:
+        w = "".join(map(rules.__getitem__, w))
+    return w[:n]
+
+
+def _prolongable_on_first_letter(letters, max_image):
+    images = ["".join(t) for k in range(1, max_image + 1) for t in product(letters, repeat=k)]
+    for chosen in product(images, repeat=len(letters)):
+        if chosen[0][0] == letters[0] and len(chosen[0]) >= 2:
+            yield dict(zip(letters, chosen))
+
+
+PREFIX_LENGTHS = (1, 2, 3, 17, 64, 257, 2000)
+
+
+@pytest.mark.parametrize("letters,max_image", [("ab", 3), ("abc", 2)], ids=["binary", "ternary"])
+def test_the_image_route_equals_the_letter_loop_on_every_small_morphism(letters, max_image):
+    count = 0
+    for rules in _prolongable_on_first_letter(letters, max_image):
+        want = _letter_loop(rules, letters[0], max(PREFIX_LENGTHS))
+        for n in PREFIX_LENGTHS:
+            assert MorphicSource(rules, letters[0]).prefix(n) == want[:n], (rules, n)
+        count += 1
+    assert count == {"ab": 84, "abc": 432}[letters]
+
+
+@pytest.mark.parametrize("descriptor", ["fibonacci", "thue-morse", "morphic:a=aab,b=a;seed=a"])
+def test_the_image_route_equals_the_letter_loop_on_long_prefixes(descriptor):
+    src = parse_descriptor(descriptor)
+    n = 1 << 17
+    assert src.prefix(n) == _letter_loop(src.rules, src.seed, n)
+
+
+@pytest.mark.parametrize("descriptor", ["fibonacci", "thue-morse", "morphic:a=aab,b=a;seed=a"])
+def test_a_longer_request_extends_the_first(descriptor):
+    src = parse_descriptor(descriptor)
+    first = src.prefix(1000)
+    second = src.prefix(5000)
+    assert second[:1000] == first
+    assert second == _letter_loop(src.rules, src.seed, 5000)
+
+
+def test_a_seed_that_grows_one_letter_per_level():
+    # the seed's image grows by one letter per level, so the letter loop
+    # rebuilt the whole prefix in Python once per letter
+    assert parse_descriptor("morphic:a=ab,b=b;seed=a").prefix(20000) == "a" + "b" * 19999
+
+
+@pytest.mark.parametrize("descriptor", [
+    "morphic:a=ab,b=a,c=cccccccc;seed=a",
+    "morphic:a=ab,b=bc,c=cccccccccc;seed=a",
+], ids=["unreached-letter-grows-fastest", "reached-letter-grows-fastest"])
+def test_a_morphic_prefix_is_built_in_a_small_multiple_of_its_length(descriptor):
+    # every image is cut to the prefix length and a join stops once it has
+    # that many letters, so a letter that grows faster than the seed costs
+    # no more than the seed
+    src = parse_descriptor(descriptor)
+    tracemalloc.start()
+    try:
+        src.prefix(10 ** 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 ** 6
 
 
 # ---------------------------------------------------------------------------
