@@ -24,6 +24,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 # sweeps, and of one block of the sweeps' (words x letters) matrices
 _BLOCK = 1 << 15
 
+# isqrt(2**31 - 1): up to this base, every pair key base * x + y with
+# x, y < base fits int32
+_KEY_FITS = 46340
+
 
 def border_table(w):
     # classic failure function: f[i] = length of longest proper border of w[:i+1]
@@ -122,12 +126,17 @@ def local_periods_stream(buf, n, cap):
         if h > 1:
             # names of length h from pairs of names of length h/2
             # the base exceeds every name of length h/2, those the second
-            # half reads included, so distinct pairs get distinct keys
+            # half reads included, so distinct pairs get distinct keys. A key
+            # is at most base^2 - 1: while base <= _KEY_FITS the keys are the
+            # new names as they are, and only larger keys are ranked (one
+            # np.unique sort). The product stays int64 either way, since the
+            # ranks themselves may exceed _KEY_FITS.
             k = m - h + 1
-            key = names[m:m + k].astype(np.int64) * (int(names.max()) + 1)
+            base = int(names.max()) + 1
+            key = names[m:m + k].astype(np.int64) * base
             key += names[m + h // 2:m + h // 2 + k]
             names = np.zeros(2 * m, np.int32)
-            names[m:m + k] = np.unique(key, return_inverse=True)[1]
+            names[m:m + k] = key if base <= _KEY_FITS else np.unique(key, return_inverse=True)[1]
         win = sliding_window_view(names, h)
         cols = np.arange(h)
         rows = max(1, _BLOCK // h)

@@ -944,6 +944,8 @@ def divergence_report(
     if not checkpoints:
         raise ValueError("need at least one checkpoint")
     pts = sorted(set(checkpoints))
+    if pts[0] < 1:
+        raise ValueError(f"checkpoints must be >= 1, got {pts[0]}")
     n = pts[-1]
     prof = profile(source, n=n, cap=cap)
     report = VerificationReport(

@@ -195,11 +195,8 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
-# _json_text(prof.to_json()) row by row: keys sorted, h_approx as float.__repr__
-_PROFILE_JSON_ROW = (
-    '    {\n      "h_approx": %r,\n      "h_denominator": %d,\n      "h_numerator": %d,\n'
-    '      "index": %d,\n      "local_period": %d\n    }'
-)
+# _json_text(prof.to_json()) row by row, here for capped rows and in _profile_json
+# for live ones: keys sorted, h_approx as float.__repr__
 _PROFILE_JSON_CAPPED = (
     '    {\n      "h_approx": null,\n      "h_denominator": null,\n      "h_numerator": null,\n'
     '      "index": %d,\n      "local_period": %s\n    }'
@@ -216,7 +213,9 @@ def _profile_columns(prof: PeriodProfile) -> tuple:
 
 def _profile_json(prof: PeriodProfile) -> str:
     live, capped = _profile_columns(prof)
-    rows = [_PROFILE_JSON_ROW % (a / b, b, a, i, p) for i, p, a, b in live]
+    rows = [f'    {{\n      "h_approx": {a / b!r},\n      "h_denominator": {b},\n'
+            f'      "h_numerator": {a},\n      "index": {i},\n      "local_period": {p}\n    }}'
+            for i, p, a, b in live]
     rows += [_PROFILE_JSON_CAPPED % (i, '"CAP"' if p is None else p) for i, p in capped]
     head = (f'{{\n  "cap": {json.dumps(prof.cap)},\n  "descriptor": {json.dumps(prof.descriptor)},\n'
             f'  "n": {json.dumps(prof.n)},\n  "rows": ')
@@ -229,7 +228,7 @@ def _profile_csv(prof: PeriodProfile) -> str:
     # csv.writer writes a float with repr and None as an empty cell; no cell needs quotes
     live, capped = _profile_columns(prof)
     lines = ["index,local_period,h_numerator,h_denominator,h_approx\n"]
-    lines += ["%d,%d,%d,%d,%r\n" % (i, p, a, b, a / b) for i, p, a, b in live]
+    lines += [f"{i},{p},{a},{b},{a / b!r}\n" for i, p, a, b in live]
     lines += ["%d,%s,,,\n" % (i, "CAP" if p is None else p) for i, p in capped]
     return "".join(lines)
 

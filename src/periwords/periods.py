@@ -241,7 +241,7 @@ def profile(subject, n: int | None = None, cap: int | None = None) -> PeriodProf
         if not subject:
             raise ValueError("empty word")
         lps = local_periods(subject)
-        return PeriodProfile(subject, [int(v) for v in lps], cap=None)
+        return PeriodProfile(subject, lps.tolist(), cap=None)
     if n is None:
         raise ValueError("need n for an infinite word")
     if n < 0:
@@ -254,7 +254,7 @@ def profile(subject, n: int | None = None, cap: int | None = None) -> PeriodProf
         cap = 4 * n + 64
     buf = subject.ranks(n + cap)
     lps = kernels.active.local_periods_stream(buf, n, cap)
-    vals = [int(v) if v else None for v in lps]
+    vals = [v or None for v in lps.tolist()]
     return PeriodProfile(subject.descriptor, vals, cap=cap)
 
 

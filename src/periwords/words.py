@@ -45,6 +45,9 @@ class Alphabet:
             raise ValueError("alphabet letters must be distinct")
         if HOLE in letters:
             raise ValueError(f"{HOLE!r} is reserved for holes")
+        if not letters.isascii():
+            bad = next(c for c in letters if not c.isascii())
+            raise ValueError(f"alphabet letters must be ASCII, got {bad!r}")
         self.letters = letters
         self._rank = {c: r for r, c in enumerate(letters)}
         self._trans = bytes.maketrans(
@@ -63,7 +66,7 @@ class Alphabet:
         return self._rank[letter]
 
     def validate(self, word: str, allow_hole: bool = False) -> None:
-        # the letters are ASCII (__init__ encodes them), so a valid word is
+        # the letters are ASCII (__init__ refuses others), so a valid word is
         # one whose bytes all delete; any other word takes the set route,
         # which names the bad letters
         allowed = self.letters + HOLE if allow_hole else self.letters

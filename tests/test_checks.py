@@ -569,6 +569,16 @@ def test_divergence_needs_checkpoints():
         divergence_report(FIB, [])
 
 
+@pytest.mark.parametrize("checkpoints, least", [([0], 0), ([16, -3, 0], -3)])
+def test_divergence_refuses_checkpoints_below_one_before_profiling(checkpoints, least, monkeypatch):
+    def no_profile(*args, **kwargs):
+        raise AssertionError("profiled")
+
+    monkeypatch.setattr(checks, "profile", no_profile)
+    with pytest.raises(ValueError, match=f"^checkpoints must be >= 1, got {least}$"):
+        divergence_report(FIB, checkpoints)
+
+
 # ---------------------------------------------------------------------------
 # report plumbing
 

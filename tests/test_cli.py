@@ -199,6 +199,8 @@ def test_words_with_holes_are_a_parameter_error(argv, capsys):
     (["profile", "--word", "fibonacci", "--n", "4", "--cap", "-2"], "cap must be >= 1, got -2"),
     (["report", "--word", "fibonacci", "--cap", "0"], "cap must be >= 1, got 0"),
     (["profile", "--word", "fibonacci", "--n", "-3"], "n must be >= 0, got -3"),
+    (["report", "--word", "fibonacci", "--checkpoints", "0"], "checkpoints must be >= 1, got 0"),
+    (["report", "--word", "fibonacci", "--checkpoints", "-3"], "checkpoints must be >= 1, got -3"),
 ])
 def test_profile_n_and_cap_out_of_range_are_parameter_errors(argv, message, capsys):
     assert main(argv) == 1
@@ -211,6 +213,12 @@ def test_non_ascii_letter_is_a_parameter_error(capsys):
     err = capsys.readouterr().err
     assert err.startswith("parameter error:")
     assert "'é'" in err and "codec" not in err
+
+
+def test_non_ascii_alphabet_letter_is_a_descriptor_error(capsys):
+    assert main(["generate", "--word", "morphic:a=aé,é=a;seed=a"]) == 1
+    err = capsys.readouterr().err
+    assert err == "descriptor error: alphabet letters must be ASCII, got 'é'\n"
 
 
 # ---------------------------------------------------------------------------

@@ -110,6 +110,81 @@ def test_stream_scan_on_long_prefixes(table, descriptor):
         assert (0 in got) == (cap == 7)
 
 
+def _sorts(monkeypatch):
+    # counts np.unique calls: local_periods_stream ranks names through it alone
+    calls = []
+    unique = np.unique
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counting)
+    return calls
+
+
+@pytest.mark.parametrize("letters", [2, 4])
+def test_stream_scan_ranks_names_in_several_rounds(table, letters, monkeypatch):
+    # a random buffer keeps positions open through many rounds: from h = 32
+    # (binary) or h = 16 (4 letters) on, the pair keys outgrow int32 every
+    # other round, and those names are ranked; at cap 7 the rounds stop at
+    # h = 8, before any key can
+    buf = np.random.default_rng(20).integers(0, letters, 4096, dtype=np.uint8)
+    sorts = _sorts(monkeypatch)
+    for n, cap, ranked in ((806, 4 * 806 + 64, 3), (4089, 7, 0)):
+        sorts.clear()
+        got = _stream(table, buf, n, cap)
+        assert len(sorts) == ranked
+        assert got == _stream_by_position(table, buf, n, cap), (letters, n, cap)
+
+
+def test_stream_scan_on_names_that_are_never_ranked(table, monkeypatch):
+    # the pair keys of periodic:ab never outgrow int32: no sort at all
+    n = 10_000
+    buf = parse_descriptor("periodic:ab").ranks(n + 4 * n + 64)
+    sorts = _sorts(monkeypatch)
+    for cap in (4 * n + 64, 7):
+        got = _stream(table, buf, n, cap)
+        assert sorts == []
+        assert got == _stream_by_position(table, buf, n, cap)
+
+
+@pytest.mark.parametrize("descriptor, want", [
+    ("fibonacci", 4), ("morphic:a=aab,b=a;seed=a", 3), ("periodic:aabbbbab", 0),
+])
+def test_stream_scan_sorts_only_keys_that_outgrow_int32(table, descriptor, want, monkeypatch):
+    # on 16384-letter prefixes (the profile-wide workload) the ranking rule
+    # takes the sorts from 13, 12 and 3 (one per round) down to these
+    n = 16384
+    buf = parse_descriptor(descriptor).ranks(5 * n + 64)
+    sorts = _sorts(monkeypatch)
+    table.local_periods_stream(buf, n, 4 * n + 64)
+    assert len(sorts) == want
+
+
+@st.composite
+def _periodic_stretches_with_a_defect(draw):
+    # one or two periodic stretches of 200-1000 letters over {0, 1}, with
+    # one letter changed somewhere (possibly to the new letter 2)
+    letters = []
+    for length in draw(st.lists(st.integers(200, 1000), min_size=1, max_size=2)):
+        root = draw(st.lists(st.integers(0, 1), min_size=1, max_size=12))
+        letters += (root * length)[:length]
+    size = len(letters)
+    spot = draw(st.integers(0, size - 1))
+    letters[spot] = (letters[spot] + draw(st.integers(1, 2))) % 3
+    n = draw(st.integers(1, size - 1))
+    cap = draw(st.one_of(st.just(size - n), st.integers(1, size - n)))
+    return np.array(letters, np.uint8), n, cap
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_periodic_stretches_with_a_defect())
+def test_stream_scan_on_periodic_stretches_with_a_defect(case):
+    buf, n, cap = case
+    assert _stream(PY, buf, n, cap) == _stream_by_position(PY, buf, n, cap)
+
+
 def test_stream_scan_on_thue_morse(table):
     # half the positions have no square: the overhang case dominates
     n = 1024

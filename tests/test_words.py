@@ -113,7 +113,7 @@ def _outcome(check, *args):
 
 def test_the_alphabet_check_keeps_every_message():
     # the byte route relies on alphabets being ASCII
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^alphabet letters must be ASCII, got 'é'$"):
         Alphabet("aé")
     words = ["".join(t) for k in range(5) for t in product("ab?cé", repeat=k)]
     for alphabet, allow_hole in product((BINARY, Alphabet("abc")), (False, True)):
