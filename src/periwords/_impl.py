@@ -114,13 +114,10 @@ def local_periods_stream(buf, n, cap):
     names = np.zeros(2 * m, np.int32)
     names[m:] = buf[:m]
     todo = np.arange(1, n + 1, dtype=np.int64)
-    overhang = []
     h = 1
     while True:
         # every square length <= min(i, cap) is tested once min(i, cap) < h
-        spent = np.minimum(todo, cap) < h
-        overhang.append(todo[spent])
-        todo = todo[~spent]
+        todo = todo[np.minimum(todo, cap) >= h]
         if todo.size == 0:
             break
         if h > 1:
@@ -155,8 +152,9 @@ def local_periods_stream(buf, n, cap):
             left.append(i[~hit])
         todo = np.concatenate(left)
         h *= 2
-    pos = np.sort(np.concatenate(overhang))
-    pos = pos[pos < cap]  # from i = cap on, (i, cap] is empty: out stays 0
+    # the positions with no square are those still at 0; from i = cap on,
+    # (i, cap] is empty and out stays 0
+    pos = np.flatnonzero(out[:cap - 1] == 0) + 1
     # cand holds the offsets L > pos[k] whose buf[L:L+have] equals buf[:have]
     cand = np.arange(1, cap + 1, dtype=np.int64)
     have = 0

@@ -41,6 +41,7 @@ from .factorize import (
 from .periods import (
     CapExceeded,
     factor_local_periods,
+    h_of_row,
     is_lyndon,
     is_unbordered,
     local_period_infinite,
@@ -141,9 +142,7 @@ class ClaimSpec:
             if holub is None:
                 raise ValueError(f"this claim needs a holub-family word, got {source.descriptor}")
             return checker(holub, **params)
-        if source.has_holes:
-            raise ValueError(f"cannot check {self.claim_id} on {source.descriptor}: "
-                             f"it has holes ({HOLE!r})")
+        source.refuse_holes(f"check {self.claim_id} on")
         return checker(source, **params)
 
 
@@ -194,11 +193,6 @@ def _claim(claim_id: str):
 
 def _frac(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
-
-
-def _mean(lps) -> Fraction:
-    # h of a word from its row of local periods
-    return Fraction(int(lps.sum()), lps.size)
 
 
 # ---------------------------------------------------------------------------
@@ -585,10 +579,10 @@ def return_gain_step(
                 ell = c
                 break
             off += len(c)
-        min_h = min(_mean(table[c]) for c in parts)
+        min_h = min(h_of_row(table[c]) for c in parts)
         lhs = int(table[w].sum())
         rhs = sum(int(table[c].sum()) for c in parts) + len(w) - len(ell)
-        hw = Fraction(lhs, len(w))
+        hw = h_of_row(table[w])
         bound_b = min_h + 1 - Fraction(len(ell), len(w))
         row = {
             "j": j,
@@ -721,8 +715,8 @@ def check_dyadic_gain(
             return report
         p = period(z)
         s = blen // p
-        own_min = min(_mean(table[c]) for c in parts)
-        hz = _mean(table[z])
+        own_min = min(h_of_row(table[c]) for c in parts)
+        hz = h_of_row(table[z])
         bound = own_min + Fraction(s * (p - 2 ** k), blen)
         row = {
             "j": j,

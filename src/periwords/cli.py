@@ -12,9 +12,9 @@ import inspect
 import io
 import json
 import os
+import re
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
-from fractions import Fraction
 from types import UnionType
 from typing import Literal, get_args, get_origin
 
@@ -22,7 +22,7 @@ from . import checks
 from .checks import CLAIMS, VerificationReport
 from .errors import DescriptorError, InsufficientWindowError
 from .factorize import alpha_chain, dyadic_factorization, return_factorization
-from .periods import PeriodProfile, local_period_table, profile
+from .periods import PeriodProfile, h_of_row, local_period_table, profile
 from .words import parse_descriptor
 
 LINE = 64  # letters per text line when rendering word prefixes
@@ -326,7 +326,7 @@ def _run_factorize(cfg: ExperimentConfig) -> None:
         # the "length,h_num,h_den" cells of each distinct block, rendered once
         cells = {}
         for w, lps in local_period_table(blocks).items():
-            h = Fraction(int(lps.sum()), lps.size)
+            h = h_of_row(lps)
             cells[w] = f"{len(w)},{h.numerator},{h.denominator}"
         lines = ["index,offset,length,h_num,h_den\n"]
         lines += [f"{j},{offset},{cells[b]}\n"
@@ -476,6 +476,13 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit 1, not argparse's default 2 (2 means "fail")
         print(f"usage error: {message}", file=sys.stderr)
         raise SystemExit(1)
+
+    def _parse_optional(self, arg_string):
+        # argparse takes a value starting with "-" for an option unless it is
+        # one plain number; a number list such as "-3,5" is a value too
+        if re.fullmatch(r"-\d[\d,]*", arg_string):
+            return None
+        return super()._parse_optional(arg_string)
 
 
 def _int_or_none(text: str):

@@ -12,8 +12,8 @@ from itertools import accumulate
 
 from . import kernels
 from .errors import InsufficientWindowError
-from .periods import local_period_table
-from .words import HOLE, WordSource, encode
+from .periods import h_of_row, local_period_table
+from .words import WordSource, encode
 
 
 def _horizon(horizon: int | None) -> int:
@@ -60,6 +60,7 @@ def repetition_exponent_estimate(
     A lower bound for the full word; it grows with the horizon on periodic
     input, which is exactly how callers detect that no uniform bound exists.
     """
+    source.refuse_holes("estimate the repetition exponent of")
     return int(kernels.active.max_run_exponent(source.ranks(_horizon(horizon)), max_period))
 
 
@@ -112,9 +113,7 @@ def alpha_chain(
     word), the windowed exponents are treated as exact; a windowed exponent
     above the bound is a contradiction and raises.
     """
-    if source.has_holes:
-        raise ValueError(f"cannot build an alpha chain on {source.descriptor}: "
-                         f"it has holes ({HOLE!r})")
+    source.refuse_holes("build an alpha chain on")
     if depth < 1:
         raise ValueError("depth must be >= 1")
     entries = []
@@ -207,7 +206,7 @@ def return_factorization(
 
 def _h_min(blocks: list[str]) -> Fraction:
     # least mean local period over the distinct blocks
-    return min(Fraction(int(r.sum()), r.size) for r in local_period_table(blocks).values())
+    return min(map(h_of_row, local_period_table(blocks).values()))
 
 
 def h_floor(fact: ReturnFactorization, window: int | None = None) -> Fraction:

@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import kernels
-from .words import BINARY, HOLE, Alphabet, WordSource, encode
+from .words import BINARY, Alphabet, WordSource, encode
 
 SQUARE = "square"
 RIGHT_OVERHANG = "right-overhang"
@@ -123,6 +123,7 @@ def local_period_infinite(source: WordSource, i: int, cap: int) -> RepetitionWit
         raise ValueError("positions are 1-based")
     if cap < 1:
         raise ValueError("cap must be >= 1")
+    source.refuse_holes("scan")
     buf = source.ranks(i + cap)
     L = int(kernels.active.local_period_stream(buf, i, cap))
     if L == 0:
@@ -248,8 +249,7 @@ def profile(subject, n: int | None = None, cap: int | None = None) -> PeriodProf
         raise ValueError(f"n must be >= 0, got {n}")
     if cap is not None and cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
-    if subject.has_holes:
-        raise ValueError(f"cannot profile {subject.descriptor}: it has holes ({HOLE!r})")
+    subject.refuse_holes("profile")
     if cap is None:
         cap = 4 * n + 64
     buf = subject.ranks(n + cap)
@@ -287,11 +287,16 @@ def factor_local_periods(letters: np.ndarray, start: np.ndarray, length: np.ndar
     return out
 
 
+def h_of_row(lps: np.ndarray) -> Fraction:
+    """h of a word from its row of local periods: their mean, exactly."""
+    return Fraction(int(lps.sum()), lps.size)
+
+
 def h_of(w: str) -> Fraction:
     """Mean of the local periods over all positions of a finite word."""
     if not w:
         raise ValueError("empty word")
-    return Fraction(int(local_periods(w).sum()), len(w))
+    return h_of_row(local_periods(w))
 
 
 def local_period_sum(w: str) -> int:

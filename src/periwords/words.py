@@ -195,6 +195,15 @@ class WordSource:
         """Rank-encoded prefix of length n (read-only view of the cache)."""
         return self._ensure(n)[1][:n]
 
+    def refuse_holes(self, what: str) -> None:
+        """Raise ValueError("cannot {what} {descriptor}: ...") if the word has holes.
+
+        Every scan but an occurrence search calls it: a kernel would match a
+        hole as a letter of its own.
+        """
+        if self.has_holes:
+            raise ValueError(f"cannot {what} {self.descriptor}: it has holes ({HOLE!r})")
+
     def __repr__(self):
         return f"<WordSource {self.descriptor!r}>"
 
@@ -265,11 +274,6 @@ def _cut_join(img: dict[str, str], rule: str, n: int) -> str:
         pieces.append(img[d])
         size += len(img[d])
     return "".join(pieces)[:n]
-
-
-def morphic_source(rules: dict[str, str], seed: str) -> MorphicSource:
-    """Infinite fixed point of the given morphism, starting from seed."""
-    return MorphicSource(rules, seed)
 
 
 def fibonacci_source() -> MorphicSource:
@@ -553,8 +557,10 @@ def _parse_kv(body: str) -> dict[str, str]:
             continue
         if "=" not in part:
             raise DescriptorError(f"expected key=value, got {part!r}")
-        k, v = part.split("=", 1)
-        out[k.strip()] = v.strip()
+        k, v = (t.strip() for t in part.split("=", 1))
+        if k in out:
+            raise DescriptorError(f"key {k!r} given twice")
+        out[k] = v
     return out
 
 
@@ -578,9 +584,12 @@ def _parse_holub_params(body: str, extra_keys: tuple[str, ...] = ()) -> tuple[Ho
                 step = int(rest)
             except ValueError as exc:
                 raise DescriptorError(f"bad step {rest!r}") from exc
-    strict = kv.get("strict", "0") in ("1", "true", "yes")
+    strict = kv.get("strict", "0")
+    if strict not in ("1", "true", "yes", "0", "false", "no"):
+        raise DescriptorError(f"bad strict value {strict!r}")
     try:
-        params = HolubParams(head, tail=tail, step=step, strictly_increasing=strict)
+        params = HolubParams(head, tail=tail, step=step,
+                             strictly_increasing=strict in ("1", "true", "yes"))
     except ValueError as exc:
         raise DescriptorError(str(exc)) from exc
     return params, kv
@@ -594,11 +603,11 @@ def parse_descriptor(text: str) -> WordSource:
     holub-formula:<same keys> | toeplitz:<same keys>;stage=S
     """
     text = text.strip()
-    name, _, body = text.partition(":")
-    if name == "fibonacci":
-        return fibonacci_source()
-    if name == "thue-morse":
-        return thue_morse_source()
+    name, colon, body = text.partition(":")
+    if name in ("fibonacci", "thue-morse"):
+        if colon:
+            raise DescriptorError(f"{name} takes no parameters, got {text!r}")
+        return fibonacci_source() if name == "fibonacci" else thue_morse_source()
     if name == "periodic":
         if not body:
             raise DescriptorError("periodic needs a pattern")
@@ -614,12 +623,16 @@ def parse_descriptor(text: str) -> WordSource:
             if not part:
                 continue
             if part.startswith("seed="):
+                if seed is not None:
+                    raise DescriptorError("seed given twice")
                 seed = part[len("seed="):]
                 continue
             for rule in part.split(","):
                 if "=" not in rule:
                     raise DescriptorError(f"bad rule {rule!r}")
                 k, v = rule.split("=", 1)
+                if k in rules:
+                    raise DescriptorError(f"rule for {k!r} given twice")
                 rules[k] = v
         if seed is None:
             raise DescriptorError("morphic needs seed=...")

@@ -11,6 +11,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 from typing import Literal, get_args
 
@@ -34,7 +35,7 @@ from periwords.cli import (
     run_batch,
 )
 from periwords.factorize import alpha_chain, dyadic_factorization, return_factorization
-from periwords.periods import PeriodProfile, h_of, profile
+from periwords.periods import PeriodProfile, RepetitionWitness, h_of, profile
 from periwords.words import MAX_PREFIX, HolubParams, WordSource, parse_descriptor
 
 HOLUB = "holub:n=2,2;tail=repeat"
@@ -119,6 +120,12 @@ def test_descriptor_error_exits_one(capsys):
     assert capsys.readouterr().err.startswith("descriptor error:")
 
 
+def test_descriptor_text_the_parser_does_not_read_is_a_descriptor_error(capsys):
+    assert main(["generate", "--word", "fibonacci:junk"]) == 1
+    assert capsys.readouterr() == (
+        "", "descriptor error: fibonacci takes no parameters, got 'fibonacci:junk'\n")
+
+
 def test_window_error_exits_one(capsys):
     code = main(["factorize", "--word", "fibonacci", "--z", "bb", "--horizon", "500"])
     assert code == 1
@@ -201,6 +208,7 @@ def test_words_with_holes_are_a_parameter_error(argv, capsys):
     (["profile", "--word", "fibonacci", "--n", "-3"], "n must be >= 0, got -3"),
     (["report", "--word", "fibonacci", "--checkpoints", "0"], "checkpoints must be >= 1, got 0"),
     (["report", "--word", "fibonacci", "--checkpoints", "-3"], "checkpoints must be >= 1, got -3"),
+    (["report", "--word", "fibonacci", "--checkpoints", "-3,5"], "checkpoints must be >= 1, got -3"),
 ])
 def test_profile_n_and_cap_out_of_range_are_parameter_errors(argv, message, capsys):
     assert main(argv) == 1
@@ -668,6 +676,28 @@ def test_readme_claims_table_follows_the_registry():
         assert needs == needs_of[spec.subject], claim
         first_line = getattr(checks, spec.checker).__doc__.splitlines()[0]
         assert claim_text.startswith(first_line), claim
+
+
+def test_readme_quickstart_runs_and_computes_what_its_comments_say():
+    # the documented import path: every name from the module that defines it
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Quickstart", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(block, namespace)
+    said = {
+        "prof.local_periods": [2, 3, 1, 3, 1],
+        'periods.period("abaab")': 3,
+        "prof.h_at(2)": Fraction(5, 2),
+        'periods.local_period("abaab", 1)': RepetitionWitness(2, "right-overhang", "ba"),
+        "fib.prefix(13)": "abaababaabaab",
+        "periods.local_period_infinite(fib, 7, cap=200).length": 8,
+        "rep.status": "pass",
+        "[(e.alpha, e.exponent) for e in chain.entries]": [("a", 2), ("aab", 2), ("aabaabab", 2)],
+    }
+    for expr, value in said.items():
+        assert expr in block, expr
+        assert eval(expr, namespace) == value, expr
+    assert [row["actual"] for row in namespace["rep"].details] == [3, 12, 48]
 
 
 # (word, params) of one cheap call of every claim

@@ -16,13 +16,19 @@ import numpy as np
 import pytest
 
 from periwords import kernels
-from periwords.factorize import dyadic_factorization, return_factorization
+from periwords.factorize import (
+    alpha_chain,
+    dyadic_factorization,
+    repetition_exponent_estimate,
+    return_factorization,
+)
 from periwords.periods import (
     CapExceeded,
     PeriodProfile,
     critical_positions,
     factor_local_periods,
     h_of,
+    h_of_row,
     is_lyndon,
     is_primitive,
     is_unbordered,
@@ -130,6 +136,11 @@ def test_h_and_sum():
     assert local_period_sum("abaab") == 10
     assert h_of("abaab") == 2
     assert h_of("a") == 1
+
+
+def test_h_of_a_row_is_h_of_its_word():
+    for w in ("a", "ab", "abaab", "bbbbab", "aabaab", "abab", "aab", "bab"):
+        assert h_of_row(local_periods(w)) == h_of(w)
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +304,20 @@ def test_profile_rejects_holes():
         profile(parse_descriptor("periodic:ab?"), n=6)
     with pytest.raises(ValueError, match="holes"):
         profile(holub_toeplitz(HolubParams((2, 2)), 1), n=6)
+
+
+@pytest.mark.parametrize("scan, what", [
+    (lambda s: profile(s, n=6), "profile"),
+    (lambda s: local_period_infinite(s, 2, 10), "scan"),
+    (lambda s: repetition_exponent_estimate(s, 10), "estimate the repetition exponent of"),
+    (lambda s: alpha_chain(s, 2, 60), "build an alpha chain on"),
+], ids=["profile", "local_period_infinite", "repetition_exponent_estimate", "alpha_chain"])
+def test_scans_of_a_holed_source_refuse_it(scan, what):
+    # a hole would be matched as a letter: local_period_infinite once
+    # answered 3 at position 2 of periodic:ab?, with the witness '?ab'
+    with pytest.raises(ValueError) as info:
+        scan(parse_descriptor("periodic:ab?"))
+    assert str(info.value) == f"cannot {what} periodic:ab?: it has holes ('?')"
 
 
 def test_h_of_and_local_period_sum_reject_holes():

@@ -541,6 +541,12 @@ def test_descriptor_equivalences():
         ("toeplitz:n=2,2", "needs stage"),
         ("toeplitz:n=2,2;stage=-1", "stage must be"),
         ("holub:n=2,2;tail=step:x", "bad step"),
+        ("fibonacci:junk", "fibonacci takes no parameters"),
+        ("thue-morse:x=1", "thue-morse takes no parameters"),
+        ("holub:n=2,3;strict=maybe", "bad strict value 'maybe'"),
+        ("morphic:a=ba,a=ab,b=a;seed=a", "rule for 'a' given twice"),
+        ("morphic:a=ab,b=a;seed=b;seed=a", "seed given twice"),
+        ("holub:n=2,2;n=3,3", "key 'n' given twice"),
     ],
 )
 def test_descriptor_errors(bad, hint):
