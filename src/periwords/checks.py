@@ -21,15 +21,16 @@ resolved.
 import functools
 import inspect
 import random
+from bisect import bisect_left
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
 from . import kernels
 from .errors import InsufficientWindowError
 from .factorize import (
-    AlphaChain,
     ReturnFactorization,
     alpha_chain,
     dyadic_factorization,
@@ -572,13 +573,7 @@ def return_gain_step(
             return report
         # the first critical position: the first local period equal to the period
         crit = table[w].tolist().index(period(w)) + 1
-        off = 0
-        ell = parts[0]
-        for c in parts:
-            if off < crit <= off + len(c):
-                ell = c
-                break
-            off += len(c)
+        ell = parts[bisect_left(list(accumulate(map(len, parts))), crit)]
         min_h = min(h_of_row(table[c]) for c in parts)
         lhs = int(table[w].sum())
         rhs = sum(int(table[c].sum()) for c in parts) + len(w) - len(ell)
@@ -596,7 +591,8 @@ def return_gain_step(
             "h_bound": _frac(bound_b),
             "gain": _frac(hw - min_h),
         }
-        ok = is_unbordered(w) and lhs >= rhs and hw >= bound_b
+        unbordered = is_unbordered(w)
+        ok = unbordered and lhs >= rhs and hw >= bound_b
         if condition:
             ok = ok and hw >= min_h + Fraction(1, 2)
         if not ok:
@@ -604,7 +600,7 @@ def return_gain_step(
                 "op": "return_gain_step",
                 "j": j,
                 "block": w,
-                "unbordered": is_unbordered(w),
+                "unbordered": unbordered,
                 "sum_lp": lhs,
                 "sum_bound": rhs,
                 "h": _frac(hw),
@@ -617,28 +613,32 @@ def return_gain_step(
     return report
 
 
-def _chain_factorization(
-    source: WordSource, chain: AlphaChain, k: int, horizon: int
-) -> ReturnFactorization:
-    """The window cut at the level-k chain power alpha_k^e_k."""
-    return return_factorization(source, chain.power(k), horizon,
-                                exponent=chain.level(k).exponent, assert_block_prefix=True)
-
-
 def build_gain_pair(
     source: WordSource,
     k: int,
     horizon: int,
     repetition_bound: int | None = None,
     max_depth: int = 6,
+    kprime: int | None = None,
 ) -> tuple[ReturnFactorization, ReturnFactorization, int]:
     """Find the first chain level whose blocks are long enough for the
-    half-gain step over level k, and return both factorizations."""
-    chain = alpha_chain(source, max_depth, horizon, repetition_bound)
-    fact_lo = _chain_factorization(source, chain, k, horizon)
-    for kp in range(k + 1, max_depth + 1):
-        fact_hi = _chain_factorization(source, chain, kp, horizon)
-        if fact_hi.min_return_length > 2 * fact_lo.max_return_time:
+    half-gain step over level k, and return both factorizations.
+
+    A given kprime is the only level tried, and it is returned whether or
+    not its blocks are long enough; the step's report says which.
+    """
+    chain = alpha_chain(source, max_depth if kprime is None else kprime, horizon,
+                        repetition_bound)
+
+    def cut(level: int) -> ReturnFactorization:
+        # the window cut at the level's chain power alpha^e
+        return return_factorization(source, chain.power(level), horizon,
+                                    exponent=chain.level(level).exponent, assert_block_prefix=True)
+
+    fact_lo = cut(k)
+    for kp in range(k + 1, max_depth + 1) if kprime is None else (kprime,):
+        fact_hi = cut(kp)
+        if kprime is not None or fact_hi.min_return_length > 2 * fact_lo.max_return_time:
             return fact_lo, fact_hi, kp
     raise InsufficientWindowError(
         f"no level up to {max_depth} satisfies the length condition over level {k}"
@@ -655,12 +655,8 @@ def check_return_gain(
     repetition_bound: int | None = None,
 ) -> VerificationReport:
     """Run the per-block gain chain on nested minimal-return factorizations."""
-    if kprime is None:
-        fact_lo, fact_hi, kprime = build_gain_pair(source, k, horizon, repetition_bound)
-    else:
-        chain = alpha_chain(source, kprime, horizon, repetition_bound)
-        fact_lo = _chain_factorization(source, chain, k, horizon)
-        fact_hi = _chain_factorization(source, chain, kprime, horizon)
+    fact_lo, fact_hi, kprime = build_gain_pair(source, k, horizon, repetition_bound,
+                                               kprime=kprime)
     return return_gain_step(fact_lo, fact_hi, window, params={"kprime": kprime})
 
 

@@ -203,16 +203,8 @@ _PROFILE_JSON_CAPPED = (
 )
 
 
-def _profile_columns(prof: PeriodProfile) -> tuple:
-    """(i, p(i), h numerator, h denominator) up to the first cap hit, then (i, p(i))."""
-    nums, dens = prof.columns()
-    live = len(nums)
-    return (zip(range(1, live + 1), prof.local_periods, nums, dens),
-            enumerate(prof.local_periods[live:], live + 1))
-
-
 def _profile_json(prof: PeriodProfile) -> str:
-    live, capped = _profile_columns(prof)
+    live, capped = prof.split()
     rows = [f'    {{\n      "h_approx": {a / b!r},\n      "h_denominator": {b},\n'
             f'      "h_numerator": {a},\n      "index": {i},\n      "local_period": {p}\n    }}'
             for i, p, a, b in live]
@@ -221,12 +213,15 @@ def _profile_json(prof: PeriodProfile) -> str:
             f'  "n": {json.dumps(prof.n)},\n  "rows": ')
     if not rows:
         return head + "[]\n}\n"
-    return head + "[\n" + ",\n".join(rows) + "\n  ]\n}\n"
+    # one join: adding head and tail to the joined rows would copy the document
+    rows[0] = head + "[\n" + rows[0]
+    rows[-1] += "\n  ]\n}\n"
+    return ",\n".join(rows)
 
 
 def _profile_csv(prof: PeriodProfile) -> str:
     # csv.writer writes a float with repr and None as an empty cell; no cell needs quotes
-    live, capped = _profile_columns(prof)
+    live, capped = prof.split()
     lines = ["index,local_period,h_numerator,h_denominator,h_approx\n"]
     lines += [f"{i},{p},{a},{b},{a / b!r}\n" for i, p, a, b in live]
     lines += ["%d,%s,,,\n" % (i, "CAP" if p is None else p) for i, p in capped]
@@ -301,7 +296,7 @@ def _run_profile(cfg: ExperimentConfig) -> None:
         _emit(cfg, _profile_csv(prof))
     else:
         body = [f"subject: {prof.descriptor}", f"{'i':>6} {'p(i)':>8} {'h(i)':>12}"]
-        live, capped = _profile_columns(prof)
+        live, capped = prof.split()
         body += [f"{i:>6} {p:>8} {f'{a}/{b}':>12}" for i, p, a, b in live]
         body += [f"{i:>6} {'CAP' if p is None else p:>8} {'-':>12}" for i, p in capped]
         _emit(cfg, "\n".join(body) + "\n")

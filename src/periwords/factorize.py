@@ -16,13 +16,7 @@ from .periods import h_of_row, local_period_table
 from .words import WordSource, encode
 
 
-def _horizon(horizon: int | None) -> int:
-    if horizon is None:
-        raise ValueError("need a horizon for an infinite word")
-    return horizon
-
-
-def occurrences(z: str, source: WordSource, horizon: int | None = None) -> list[int]:
+def occurrences(z: str, source: WordSource, horizon: int) -> list[int]:
     """0-based offsets of every occurrence of z inside the window.
 
     z may hold holes when the word does; a hole then matches only a hole.
@@ -30,11 +24,11 @@ def occurrences(z: str, source: WordSource, horizon: int | None = None) -> list[
     if not z:
         raise ValueError("empty factor")
     hits = kernels.active.occurrence_list(
-        encode(z, source.alphabet, allow_hole=source.has_holes), source.ranks(_horizon(horizon)))
+        encode(z, source.alphabet, allow_hole=source.has_holes), source.ranks(horizon))
     return hits.tolist()
 
 
-def return_words(z: str, source: WordSource, horizon: int | None = None) -> tuple[list[str], int]:
+def return_words(z: str, source: WordSource, horizon: int) -> tuple[list[str], int]:
     """Distinct return words to z in the window, plus the max return time.
 
     A return word spans one occurrence of z to the next; at least two
@@ -44,24 +38,22 @@ def return_words(z: str, source: WordSource, horizon: int | None = None) -> tupl
     return sorted(set(fact.returns)), fact.max_return_time
 
 
-def max_exponent(v: str, source: WordSource, horizon: int | None = None) -> int:
+def max_exponent(v: str, source: WordSource, horizon: int) -> int:
     """Largest e with v^e inside the window (0 when v does not occur)."""
     if not v:
         raise ValueError("empty factor")
     return int(kernels.active.max_power(
-        encode(v, source.alphabet, allow_hole=source.has_holes), source.ranks(_horizon(horizon))))
+        encode(v, source.alphabet, allow_hole=source.has_holes), source.ranks(horizon)))
 
 
-def repetition_exponent_estimate(
-    source: WordSource, horizon: int | None = None, max_period: int = 64
-) -> int:
+def repetition_exponent_estimate(source: WordSource, horizon: int, max_period: int = 64) -> int:
     """Windowed max over short-period factors v of the largest power v^e.
 
     A lower bound for the full word; it grows with the horizon on periodic
     input, which is exactly how callers detect that no uniform bound exists.
     """
     source.refuse_holes("estimate the repetition exponent of")
-    return int(kernels.active.max_run_exponent(source.ranks(_horizon(horizon)), max_period))
+    return int(kernels.active.max_run_exponent(source.ranks(horizon), max_period))
 
 
 @dataclass(frozen=True)
@@ -177,7 +169,7 @@ class ReturnFactorization:
 def return_factorization(
     source: WordSource,
     z: str,
-    horizon: int | None = None,
+    horizon: int,
     exponent: int | None = None,
     assert_block_prefix: bool = False,
 ) -> ReturnFactorization:
@@ -204,21 +196,22 @@ def return_factorization(
     return ReturnFactorization(z, preamble, returns, horizon, exponent)
 
 
-def _h_min(blocks: list[str]) -> Fraction:
-    # least mean local period over the distinct blocks
-    return min(map(h_of_row, local_period_table(blocks).values()))
+def _least_h(blocks: list[str], window: int | None, where: str) -> Fraction:
+    # least h over the first `window` blocks (all of them for None), refusing
+    # a negative or empty window and one the blocks do not fill
+    if window is not None and window < 0:
+        raise ValueError(f"window must be >= 0, got {window}")
+    chosen = blocks if window is None else blocks[:window]
+    if not chosen:
+        raise ValueError("empty block window")
+    if window is not None and len(blocks) < window:
+        raise InsufficientWindowError(f"only {len(blocks)} blocks {where}, wanted {window}")
+    return min(map(h_of_row, local_period_table(chosen).values()))
 
 
 def h_floor(fact: ReturnFactorization, window: int | None = None) -> Fraction:
     """Minimum complexity h over the first `window` return blocks (preamble excluded)."""
-    blocks = fact.returns if window is None else fact.returns[:window]
-    if not blocks:
-        raise ValueError("empty block window")
-    if window is not None and len(fact.returns) < window:
-        raise InsufficientWindowError(
-            f"only {len(fact.returns)} blocks in horizon, wanted {window}"
-        )
-    return _h_min(blocks)
+    return _least_h(fact.returns, window, "in horizon")
 
 
 @dataclass
@@ -242,13 +235,11 @@ class DyadicFactorization:
         }
 
 
-def dyadic_factorization(
-    source: WordSource, level: int, horizon: int | None = None
-) -> DyadicFactorization:
+def dyadic_factorization(source: WordSource, level: int, horizon: int) -> DyadicFactorization:
     """Cut the window into blocks of length 2^level (a final stub is dropped)."""
     if level < 0:
         raise ValueError("level must be >= 0")
-    text = source.prefix(_horizon(horizon))
+    text = source.prefix(horizon)
     blen = 2 ** level
     count = len(text) // blen
     if count < 1:
@@ -261,11 +252,4 @@ def dyadic_factorization(
 
 def b_floor(dy: DyadicFactorization, window: int | None = None) -> Fraction:
     """Minimum h over blocks 1..window; block 0 is excluded."""
-    blocks = dy.blocks[1:] if window is None else dy.blocks[1:window + 1]
-    if not blocks:
-        raise ValueError("empty block window")
-    if window is not None and len(dy.blocks) - 1 < window:
-        raise InsufficientWindowError(
-            f"only {len(dy.blocks) - 1} blocks past block 0, wanted {window}"
-        )
-    return _h_min(blocks)
+    return _least_h(dy.blocks[1:], window, "past block 0")

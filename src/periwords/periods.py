@@ -18,6 +18,7 @@ rounds.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -157,35 +158,28 @@ class PeriodProfile:
     local_periods: list
     cap: int | None = None
 
-    def __post_init__(self):
-        self._h: list | None = None
-        self._sums: np.ndarray | None = None
-
     @property
     def n(self) -> int:
         return len(self.local_periods)
 
+    @cached_property
     def _prefix_sums(self) -> np.ndarray:
         # p(1) + ... + p(i) for every i before the first cap hit; int64 when no
         # total can overflow it, else Python ints in an object array
-        if self._sums is None:
-            live = self.local_periods
-            if None in live:
-                live = live[:live.index(None)]
-            wide = max(live, default=0) * len(live) >= 2 ** 63
-            self._sums = np.cumsum(np.array(live, dtype=object if wide else np.int64))
-        return self._sums
+        live = self.local_periods
+        if None in live:
+            live = live[:live.index(None)]
+        wide = max(live, default=0) * len(live) >= 2 ** 63
+        return np.cumsum(np.array(live, dtype=object if wide else np.int64))
 
     def h_values(self) -> list:
-        if self._h is None:
-            sums = self._prefix_sums().tolist()
-            self._h = [Fraction(t, i) for i, t in enumerate(sums, 1)] + [None] * (self.n - len(sums))
-        return self._h
+        nums, dens = self.columns()
+        return [Fraction(a, b) for a, b in zip(nums, dens)] + [None] * (self.n - len(nums))
 
     def h_at(self, i: int) -> Fraction | None:
         if not 1 <= i <= self.n:
             raise ValueError(f"position {i} outside 1..{self.n}")
-        sums = self._prefix_sums()
+        sums = self._prefix_sums
         return Fraction(int(sums[i - 1]), i) if i <= len(sums) else None
 
     def columns(self) -> tuple[list[int], list[int]]:
@@ -194,32 +188,29 @@ class PeriodProfile:
         The lists stop before the first cap hit. h(i) is reduced with np.gcd
         instead of through one Fraction per position.
         """
-        sums = self._prefix_sums()
+        sums = self._prefix_sums
         index = np.arange(1, len(sums) + 1).astype(sums.dtype)
         g = np.gcd(sums, index)
         return (sums // g).tolist(), (index // g).tolist()
+
+    def split(self) -> tuple:
+        """(i, p(i), h numerator, h denominator) up to the first cap hit, then
+        (i, p(i)) with p(i) None at a cap hit and h undefined."""
+        nums, dens = self.columns()
+        live = len(nums)
+        return (zip(range(1, live + 1), self.local_periods, nums, dens),
+                enumerate(self.local_periods[live:], live + 1))
 
     def rows(self) -> list[dict]:
         """One dict per position, rationals split into numerator/denominator.
 
         float(Fraction) divides the reduced ints, so h_approx is the same float.
         """
-        nums, dens = self.columns()
-        live = len(nums)
-        out = [
-            {"index": i, "local_period": p, "h_numerator": a, "h_denominator": b, "h_approx": a / b}
-            for i, p, a, b in zip(range(1, live + 1), self.local_periods, nums, dens)
-        ]
-        out += [
-            {
-                "index": i,
-                "local_period": "CAP" if p is None else p,
-                "h_numerator": None,
-                "h_denominator": None,
-                "h_approx": None,
-            }
-            for i, p in enumerate(self.local_periods[live:], live + 1)
-        ]
+        live, capped = self.split()
+        out = [{"index": i, "local_period": p, "h_numerator": a, "h_denominator": b,
+                "h_approx": a / b} for i, p, a, b in live]
+        out += [{"index": i, "local_period": "CAP" if p is None else p, "h_numerator": None,
+                 "h_denominator": None, "h_approx": None} for i, p in capped]
         return out
 
     def to_json(self) -> dict:

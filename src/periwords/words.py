@@ -160,6 +160,8 @@ class WordSource:
 
     def _ensure(self, n: int) -> tuple[str, np.ndarray]:
         """A (letters, ranks) snapshot holding at least n letters."""
+        if n < 0:
+            raise ValueError("prefix length must be nonnegative")
         snap = self._snap
         if len(snap[0]) >= n:
             return snap
@@ -181,8 +183,6 @@ class WordSource:
             return snap
 
     def prefix(self, n: int) -> str:
-        if n < 0:
-            raise ValueError("prefix length must be nonnegative")
         return self._ensure(n)[0][:n]
 
     def letter_at(self, i: int) -> str:
@@ -336,6 +336,8 @@ class HolubParams:
 
     def block_length(self, j: int) -> int:
         """m_0 * m_1 * ... * m_j, which equals |u_j| + 1."""
+        if j < 0:
+            raise ValueError("stage must be >= 0")
         out = 1
         for t in range(1, j + 1):
             out *= self.m(t)
@@ -503,6 +505,8 @@ def anchor_word(params: HolubParams, j: int) -> str:
 
 def anchor_length(params: HolubParams, j: int) -> int:
     """Length of the level-j anchor prefix (1 at level 1)."""
+    if j < 1:
+        raise ValueError("levels are 1-based")
     return 1 + sum(params.block_length(t) for t in range(1, j))
 
 
@@ -517,8 +521,8 @@ def predicted_witness(params: HolubParams, j: int) -> str:
     It is the conjugate of u_(j-1) a (u_(j-1) b)^n_j obtained by moving the
     anchor prefix from the front to the back.
     """
-    core = holub_u(params, j - 1) + "a" + (holub_u(params, j - 1) + "b") * params.n(j)
     s = anchor_word(params, j)
+    core = holub_u(params, j - 1) + "a" + (holub_u(params, j - 1) + "b") * params.n(j)
     if not core.startswith(s):
         raise ValueError(
             f"anchor prefix {s!r} does not start the conjugation core {core[:len(s) + 8]!r}..."

@@ -215,6 +215,19 @@ def test_gain_pair_respects_depth_limit():
         build_gain_pair(FIB, 1, 20_000, max_depth=2)
 
 
+def test_a_given_kprime_is_the_only_level_tried():
+    # level 2 is too short for the half-gain step over level 1, and is
+    # still the level returned; level 3 is the one the search finds
+    lo, hi, kp = build_gain_pair(FIB, 1, 20_000, kprime=2)
+    assert kp == 2 and hi.z == "aab" * 2 and lo.z == "aa"
+    assert hi.min_return_length <= 2 * lo.max_return_time
+    assert build_gain_pair(FIB, 1, 20_000)[2] == 3
+    with pytest.raises(ValueError, match="depth must be >= 1"):
+        check_return_gain(FIB, kprime=0)
+    with pytest.raises(ValueError, match="depth must be >= 1"):
+        build_gain_pair(FIB, 1, 20_000, kprime=0)
+
+
 def test_gain_step_degenerate_single_constituent():
     # lo == hi: every block is its own only constituent, the exact chain is
     # trivially tight and only the +1/2 corollary is out of reach

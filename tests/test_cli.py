@@ -209,6 +209,9 @@ def test_words_with_holes_are_a_parameter_error(argv, capsys):
     (["report", "--word", "fibonacci", "--checkpoints", "0"], "checkpoints must be >= 1, got 0"),
     (["report", "--word", "fibonacci", "--checkpoints", "-3"], "checkpoints must be >= 1, got -3"),
     (["report", "--word", "fibonacci", "--checkpoints", "-3,5"], "checkpoints must be >= 1, got -3"),
+    (["factorize", "--word", "fibonacci", "--z", "aa", "--horizon", "-5"],
+     "prefix length must be nonnegative"),
+    (["alpha", "--word", "fibonacci", "--horizon", "-5"], "prefix length must be nonnegative"),
 ])
 def test_profile_n_and_cap_out_of_range_are_parameter_errors(argv, message, capsys):
     assert main(argv) == 1
@@ -1313,6 +1316,36 @@ def test_a_fuzzed_run_exits_with_a_code_and_writes_only_into_its_out_dir(run):
         assert written in ([], ["artifact"]), written
         if code == 1:
             assert err.startswith(tuple(p + ": " for p in PREFIXES)), (argv, err)
+
+
+# a batch file: any JSON value at the top, or a runs list of 0-4 entries, some
+# of them runs whose every value fits its parameter, so that artifacts get written
+BATCH_FILES = JSON_VALUES | st.lists(
+    CONFIG_ENTRIES | fuzzed_runs().map(lambda run: run[0]), max_size=4).map(
+    lambda runs: {"runs": runs})
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(BATCH_FILES)
+def test_a_fuzzed_batch_file_exits_with_a_code_and_writes_one_row_per_run(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp) / "work"
+        work.mkdir()
+        (work / "batch.json").write_text(json.dumps(data), encoding="utf-8")
+        code, _, err = _main_in(work, ["batch", "--config", "batch.json", "--out-dir", "out"])
+        assert sorted(os.listdir(tmp)) == ["work"]
+        assert set(os.listdir(work)) <= {"out", "batch.json"}
+        out = work / "out"
+        written = set(os.listdir(out)) if out.exists() else set()
+        summary = json.loads((out / "summary.json").read_text()) if written else None
+    assert code in (0, 1, 2, 3), (data, code)
+    assert "Traceback" not in err
+    if isinstance(data, dict) and isinstance(data.get("runs"), list):
+        rows = summary["runs"]
+        assert [row["index"] for row in rows] == list(range(len(data["runs"])))
+        assert written == {"summary.json"} | {row["out"] for row in rows if row["out"]}
+    else:
+        assert code == 1 and not written and err.startswith("parameter error: "), (data, err)
 
 
 def test_batch_runs_of_the_wrong_type_is_a_parameter_error(tmp_path, capsys):

@@ -46,10 +46,21 @@ def test_occurrence_search_admits_holes_only_in_holed_words():
 
 def test_search_needs_a_horizon():
     for search in (occurrences, max_exponent):
-        with pytest.raises(ValueError, match="horizon"):
+        with pytest.raises(TypeError, match="horizon"):
             search("a", FIB)
-    with pytest.raises(ValueError, match="horizon"):
+    with pytest.raises(TypeError, match="horizon"):
         repetition_exponent_estimate(FIB)
+
+
+def test_a_negative_horizon_is_refused_after_a_longer_prefix():
+    # the cached prefix must not turn -5 into a slice that drops 5 letters
+    source = fibonacci_source()
+    source.prefix(100)
+    for search in (occurrences, max_exponent):
+        with pytest.raises(ValueError, match="prefix length must be nonnegative"):
+            search("aa", source, -5)
+    with pytest.raises(ValueError, match="prefix length must be nonnegative"):
+        source.ranks(-5)
 
 
 def test_return_words_fibonacci():
@@ -160,6 +171,17 @@ def test_h_floor():
     assert h_floor(fact) == min(h_of(w) for w in fact.returns)
     with pytest.raises(InsufficientWindowError):
         h_floor(return_factorization(FIB, "aa", 30), 50)
+
+
+def test_a_negative_block_window_is_refused():
+    # a negative window would slice off the last blocks instead
+    fact = return_factorization(FIB, "aa", 100)
+    dy = dyadic_factorization(FIB, 1, 100)
+    for floor, blocks, window in ((h_floor, fact, -1), (b_floor, dy, -2)):
+        with pytest.raises(ValueError, match=f"window must be >= 0, got {window}"):
+            floor(blocks, window)
+        with pytest.raises(ValueError, match="empty block window"):
+            floor(blocks, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -440,6 +440,16 @@ def test_anchor_words_and_lengths():
     assert anchor_length(P222, 3) == 1 + 4 + 16
 
 
+def test_levels_below_one_and_negative_stages_are_refused():
+    for j in (0, -3):
+        for level_fn in (anchor_length, anchor_word, predicted_peak_period, predicted_witness):
+            with pytest.raises(ValueError, match="levels are 1-based"):
+                level_fn(P222, j)
+    with pytest.raises(ValueError, match="stage must be >= 0"):
+        P222.block_length(-2)
+    assert P222.block_length(0) == 1
+
+
 def test_predicted_peaks():
     assert [predicted_peak_period(P222, j) for j in (1, 2, 3)] == [3, 12, 48]
     assert predicted_peak_period(P333, 1) == 4
