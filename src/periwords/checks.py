@@ -32,6 +32,7 @@ from . import kernels
 from .errors import InsufficientWindowError
 from .factorize import (
     ReturnFactorization,
+    _dyadic_length,
     alpha_chain,
     dyadic_factorization,
     occurrences,
@@ -200,6 +201,20 @@ def _frac(x: Fraction) -> str:
 # peak local periods of the parametrized family
 
 
+def _peak_cap(params: HolubParams, j: int, cap: int | None) -> int:
+    # the scan cap at anchor j: the given one, or one above the predicted peak
+    return cap if cap is not None else predicted_peak_period(params, j) + 1
+
+
+def _anchor_scans(params: HolubParams, source: WordSource, depth: int, cap: int | None = None):
+    # for each level j up to depth: j, the anchor d_j, the predicted peak at
+    # it, the scan cap in use and the scan of source at d_j under that cap
+    for j in range(1, depth + 1):
+        d = anchor_length(params, j)
+        use_cap = _peak_cap(params, j, cap)
+        yield j, d, predicted_peak_period(params, j), use_cap, local_period_infinite(source, d, use_cap)
+
+
 @_claim("big")
 def check_peak_periods(params: HolubParams, depth: int = 3, cap: int | None = None) -> VerificationReport:
     """At each anchor position the local period equals (n_j+1) * block_length(j-1).
@@ -211,49 +226,29 @@ def check_peak_periods(params: HolubParams, depth: int = 3, cap: int | None = No
     """
     source = holub_word(params)
     report = VerificationReport()
-    for j in range(1, depth + 1):
-        d = anchor_length(params, j)
-        expected = predicted_peak_period(params, j)
-        use_cap = cap if cap is not None else expected + 1
-        got = local_period_infinite(source, d, use_cap)
-        row = {"j": j, "position": d, "expected": expected, "cap": use_cap}
+    for j, d, expected, use_cap, got in _anchor_scans(params, source, depth, cap):
         report.instances += 1
-        if isinstance(got, CapExceeded):
-            if use_cap < expected:
-                row["outcome"] = "cap below prediction"
-                report.undecided(f"cap {use_cap} < predicted {expected} at level {j}")
-                report.details.append(row)
-                continue
-            report.fail({
-                "op": "local_period_infinite",
-                "word": source.descriptor,
-                "position": d,
-                "cap": use_cap,
-                "expected": expected,
-                "actual": f"> {use_cap}",
-            })
+        row = {"j": j, "position": d, "expected": expected, "cap": use_cap}
+        cited = {"op": "local_period_infinite", "word": source.descriptor, "position": d,
+                 "cap": use_cap, "expected": expected}
+        if isinstance(got, CapExceeded) and use_cap < expected:
+            row["outcome"] = "cap below prediction"
+            report.undecided(f"cap {use_cap} < predicted {expected} at level {j}")
+        elif isinstance(got, CapExceeded):
+            report.fail({**cited, "actual": f"> {use_cap}"})
             row["outcome"] = f"local period exceeds {use_cap}"
-            report.details.append(row)
-            continue
-        pred_r = predicted_witness(params, j)
-        probe = local_period_infinite(source, d, expected - 1)
-        row["actual"] = got.length
-        row["witness"] = got.word
-        row["witness_expected"] = pred_r
-        row["sharp"] = isinstance(probe, CapExceeded)
-        ok = got.length == expected and got.word == pred_r and row["sharp"]
-        row["outcome"] = "ok" if ok else "mismatch"
-        if not ok:
-            report.fail({
-                "op": "local_period_infinite",
-                "word": source.descriptor,
-                "position": d,
-                "cap": use_cap,
-                "expected": expected,
-                "actual": got.length,
-                "expected_witness": pred_r,
-                "actual_witness": got.word,
-            })
+        else:
+            pred_r = predicted_witness(params, j)
+            probe = local_period_infinite(source, d, expected - 1)
+            row["actual"] = got.length
+            row["witness"] = got.word
+            row["witness_expected"] = pred_r
+            row["sharp"] = isinstance(probe, CapExceeded)
+            ok = got.length == expected and got.word == pred_r and row["sharp"]
+            row["outcome"] = "ok" if ok else "mismatch"
+            if not ok:
+                report.fail({**cited, "actual": got.length, "expected_witness": pred_r,
+                             "actual_witness": got.word})
         report.details.append(row)
     return report
 
@@ -268,35 +263,27 @@ def check_peak_witness(params: HolubParams, depth: int = 3) -> VerificationRepor
     """
     source = holub_word(params)
     report = VerificationReport()
-    for j in range(1, depth + 1):
+    # each anchor is scanned before its witness is built: the size check on
+    # the scan's prefix also bounds the witness
+    for j, d, expected_len, cap, got in _anchor_scans(params, source, depth):
         report.instances += 1
-        d = anchor_length(params, j)
-        expected_len = predicted_peak_period(params, j)
-        # the scan first: the size check on its prefix also bounds the witness
-        got = local_period_infinite(source, d, expected_len + 1)
         try:
             pred = predicted_witness(params, j)
         except ValueError as e:
             report.fail({"op": "predicted_witness", "j": j, "error": str(e)})
             break
-        row = {"j": j, "position": d, "length": expected_len, "witness": pred}
-        ok = (
-            len(pred) == expected_len
-            and not isinstance(got, CapExceeded)
-            and got.length == expected_len
-            and got.word == pred
-        )
-        row["outcome"] = "ok" if ok else "mismatch"
+        ok = not isinstance(got, CapExceeded) and got.length == expected_len and got.word == pred
         if not ok:
             report.fail({
                 "op": "local_period_infinite",
                 "word": source.descriptor,
                 "position": d,
-                "cap": expected_len + 1,
+                "cap": cap,
                 "expected_witness": pred,
                 "actual": "cap-exceeded" if isinstance(got, CapExceeded) else got.word,
             })
-        report.details.append(row)
+        report.details.append({"j": j, "position": d, "length": expected_len, "witness": pred,
+                               "outcome": "ok" if ok else "mismatch"})
     return report
 
 
@@ -311,25 +298,19 @@ def check_block_closure(params: HolubParams, depth: int = 4) -> VerificationRepo
         for last in ("a", "b"):
             report.instances += 1
             w = holub_u(params, i) + last
-            decode = []
-            ok = len(w) % step == 0
-            for t in range(0, len(w), step):
-                chunk = w[t:t + step]
-                if chunk not in blocks:
-                    ok = False
-                    break
-                decode.append(chunk[-1])
-            if not ok:
+            # a short last chunk is in no block, so this checks the length too
+            bad = next((t for t in range(0, len(w), step) if w[t:t + step] not in blocks), None)
+            if bad is not None:
                 report.fail({
                     "op": "check_block_closure",
                     "i": i,
                     "word": w,
-                    "offset": t,
-                    "chunk": w[t:t + step],
+                    "offset": bad,
+                    "chunk": w[bad:bad + step],
                     "expected_blocks": sorted(blocks),
                 })
                 continue
-            report.details.append({"i": i, "last": last, "decode": "".join(decode)})
+            report.details.append({"i": i, "last": last, "decode": w[step - 1::step]})
     return report
 
 
@@ -363,6 +344,11 @@ def check_occurrence_rigidity(
     return report
 
 
+def _first_difference(a: str, b: str) -> int:
+    # the first index at which two words of one length differ
+    return next(t for t, (x, y) in enumerate(zip(a, b)) if x != y)
+
+
 @_claim("letter-formula")
 def check_letter_formula(params: HolubParams, n: int = 10_000) -> VerificationReport:
     """The congruence formula and the nested recursion give the same letters."""
@@ -371,7 +357,7 @@ def check_letter_formula(params: HolubParams, n: int = 10_000) -> VerificationRe
     report = VerificationReport(instances=n)
     formula = holub_letters(params, n)
     if formula != recursion:
-        i = next(t for t in range(n) if formula[t] != recursion[t]) + 1
+        i = _first_difference(formula, recursion) + 1
         report.fail({
             "op": "holub_letter",
             "word": source.descriptor,
@@ -410,7 +396,7 @@ def check_toeplitz_stages(
         })
         return report
     if got != want:
-        k = next(t for t in range(span) if got[t] != want[t])
+        k = _first_difference(got, want)
         report.fail({
             "op": "holub_toeplitz",
             "stage": stage,
@@ -520,6 +506,20 @@ def check_lexmin_return_words(
     return report
 
 
+def _tiled_blocks(report: VerificationReport, blocks: list[str], constituents: list, misfit):
+    # each block j >= 1 with its constituents, a local period table holding
+    # them all, the block's h and the least h of its constituents, one
+    # instance each; the first block its constituents (None where there are
+    # none) do not spell fails the report with misfit(j, block) and ends the walk
+    table = local_period_table(blocks + [c for parts in constituents if parts for c in parts])
+    for j, (w, parts) in enumerate(zip(blocks, constituents), 1):
+        report.instances += 1
+        if parts is None or "".join(parts) != w:
+            report.fail(misfit(j, w))
+            return
+        yield j, w, parts, table, h_of_row(table[w]), min(h_of_row(table[c]) for c in parts)
+
+
 def return_gain_step(
     fact_lo: ReturnFactorization,
     fact_hi: ReturnFactorization,
@@ -558,26 +558,16 @@ def return_gain_step(
     hi_b = fact_hi.boundaries()
     constituents = [fact_lo.returns[at[s]:at[t]] if s in at and t in at else None
                     for s, t in zip(hi_b, hi_b[1:window + 1])]
-    table = local_period_table(blocks + [c for parts in constituents if parts for c in parts])
-    for j, (w, parts) in enumerate(zip(blocks, constituents), 1):
-        report.instances += 1
-        if parts is None or "".join(parts) != w:
-            report.fail({
-                "op": "return_gain_step",
-                "j": j,
-                "block": w,
-                "error": "high-level block boundaries do not refine low-level ones",
-                "z_lo": fact_lo.z,
-                "z_hi": fact_hi.z,
-            })
-            return report
+    tiled = _tiled_blocks(report, blocks, constituents, lambda j, w: {
+        "op": "return_gain_step", "j": j, "block": w,
+        "error": "high-level block boundaries do not refine low-level ones",
+        "z_lo": fact_lo.z, "z_hi": fact_hi.z})
+    for j, w, parts, table, hw, min_h in tiled:
         # the first critical position: the first local period equal to the period
         crit = table[w].tolist().index(period(w)) + 1
         ell = parts[bisect_left(list(accumulate(map(len, parts))), crit)]
-        min_h = min(h_of_row(table[c]) for c in parts)
         lhs = int(table[w].sum())
         rhs = sum(int(table[c].sum()) for c in parts) + len(w) - len(ell)
-        hw = h_of_row(table[w])
         bound_b = min_h + 1 - Fraction(len(ell), len(w))
         row = {
             "j": j,
@@ -608,7 +598,8 @@ def return_gain_step(
                 "half_gain_required": condition,
             })
         report.details.append(row)
-    if not condition:
+    # a block its constituents do not spell ends the walk without a row
+    if not condition and len(report.details) == report.instances:
         report.undecided("+1/2 corollary not asserted, pick a higher level")
     return report
 
@@ -680,13 +671,14 @@ def check_dyadic_gain(
     windowed estimate is used and shortfalls downgrade to inconclusive
     instead of fail (the estimate may undershoot the true supremum).
     """
+    blen = _dyadic_length(kprime, "kprime")
     if horizon is None:
-        horizon = 2 ** kprime * (window + 2)
+        horizon = blen * (window + 2)
     certified = repetition_bound is not None
     e = repetition_bound if certified else repetition_exponent_estimate(source, horizon)
     report = VerificationReport(params={"horizon": horizon}, status=WINDOWED,
                                 notes=f"e={e} ({'certified' if certified else 'windowed estimate'})")
-    if 2 ** kprime < e * 2 ** (k + 1):
+    if blen < e * 2 ** (k + 1):
         report.undecided(f"2^{kprime} < {e} * 2^{k + 1}, level gap too small for this exponent")
         return report
     hi = dyadic_factorization(source, kprime, horizon)
@@ -696,23 +688,12 @@ def check_dyadic_gain(
             f"horizon {horizon} holds {len(hi.blocks)} blocks of 2^{kprime}, wanted {window + 1}"
         )
     ratio = 2 ** (kprime - k)
-    blen = 2 ** kprime
-    table = local_period_table(hi.blocks[1:window + 1] + lo.blocks[ratio:(window + 1) * ratio])
-    for j in range(1, window + 1):
-        z = hi.blocks[j]
-        parts = lo.blocks[j * ratio:(j + 1) * ratio]
-        report.instances += 1
-        if "".join(parts) != z:
-            report.fail({
-                "op": "dyadic_factorization",
-                "j": j,
-                "error": "tiling identity violated",
-            })
-            return report
+    constituents = [lo.blocks[j * ratio:(j + 1) * ratio] for j in range(1, window + 1)]
+    tiled = _tiled_blocks(report, hi.blocks[1:window + 1], constituents, lambda j, z: {
+        "op": "dyadic_factorization", "j": j, "error": "tiling identity violated"})
+    for j, z, _, _, hz, own_min in tiled:
         p = period(z)
         s = blen // p
-        own_min = min(h_of_row(table[c]) for c in parts)
-        hz = h_of_row(table[z])
         bound = own_min + Fraction(s * (p - 2 ** k), blen)
         row = {
             "j": j,
@@ -944,23 +925,21 @@ def divergence_report(
         status=WINDOWED,
         notes="empirical trend over a finite window; not evidence of a limit",
     )
-    rows = []
-    for i in pts:
-        h = prof.h_at(i)
-        rows.append(
-            {
-                "i": i,
-                "h_numerator": None if h is None else h.numerator,
-                "h_denominator": None if h is None else h.denominator,
-                "h_approx": None if h is None else float(h),
-                "capped": h is None,
-            }
-        )
-    report.details = rows
-    if any(r["capped"] for r in rows):
+    hs = [prof.h_at(i) for i in pts]
+    report.details = [
+        {
+            "i": i,
+            "h_numerator": None if h is None else h.numerator,
+            "h_denominator": None if h is None else h.denominator,
+            "h_approx": None if h is None else float(h),
+            "capped": h is None,
+        }
+        for i, h in zip(pts, hs)
+    ]
+    if None in hs:
         report.undecided("some checkpoints hit the scan cap")
         return report
-    trend = [(r["i"], Fraction(r["h_numerator"], r["h_denominator"])) for r in rows if r["i"] >= trend_from]
+    trend = [(i, h) for i, h in zip(pts, hs) if i >= trend_from]
     for (i1, h1), (i2, h2) in zip(trend, trend[1:]):
         if h2 < h1:
             report.fail({
@@ -984,7 +963,7 @@ def check_peak_average(params: HolubParams, depth: int = 3, cap: int | None = No
     """
     source = holub_word(params)
     top = anchor_length(params, depth)
-    use_cap = cap if cap is not None else predicted_peak_period(params, depth) + 1
+    use_cap = _peak_cap(params, depth, cap)
     prof = profile(source, n=top, cap=use_cap)
     report = VerificationReport(params={"cap": use_cap})
     for j in range(1, depth + 1):

@@ -13,7 +13,7 @@ from itertools import accumulate
 from . import kernels
 from .errors import InsufficientWindowError
 from .periods import h_of_row, local_period_table
-from .words import WordSource, encode
+from .words import MAX_PREFIX, WordSource, encode
 
 
 def occurrences(z: str, source: WordSource, horizon: int) -> list[int]:
@@ -235,12 +235,21 @@ class DyadicFactorization:
         }
 
 
+def _dyadic_length(level: int, name: str = "level") -> int:
+    # 2^level, refused by the parameter's name before the power is built when
+    # level is negative or its blocks are longer than any prefix
+    if level < 0:
+        raise ValueError(f"{name} must be >= 0")
+    if level >= MAX_PREFIX.bit_length():
+        raise ValueError(f"{name} must be at most {MAX_PREFIX.bit_length() - 1}, got {level}: "
+                         f"blocks of 2^{name} letters are over the limit of {MAX_PREFIX}")
+    return 2 ** level
+
+
 def dyadic_factorization(source: WordSource, level: int, horizon: int) -> DyadicFactorization:
     """Cut the window into blocks of length 2^level (a final stub is dropped)."""
-    if level < 0:
-        raise ValueError("level must be >= 0")
+    blen = _dyadic_length(level)
     text = source.prefix(horizon)
-    blen = 2 ** level
     count = len(text) // blen
     if count < 1:
         raise InsufficientWindowError(

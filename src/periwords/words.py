@@ -459,16 +459,6 @@ class ToeplitzSource(WordSource):
         return out.tobytes().decode("ascii")
 
 
-def toeplitz_fill(base: WordSource, filler: WordSource) -> ToeplitzSource:
-    """Substitute filler letters into the holes of base, left to right."""
-    return ToeplitzSource(base, filler)
-
-
-def hole_source(alphabet: Alphabet = BINARY) -> PeriodicSource:
-    """The all-holes word, the usual starting point for Toeplitz iteration."""
-    return PeriodicSource(HOLE, alphabet)
-
-
 def holub_toeplitz(params: HolubParams, stage: int) -> WordSource:
     """Stage'th Toeplitz iterate: holes filled with (a b^n_i ?) patterns.
 
@@ -477,7 +467,7 @@ def holub_toeplitz(params: HolubParams, stage: int) -> WordSource:
     """
     if stage < 0:
         raise ValueError("stage must be >= 0")
-    w: WordSource = hole_source()
+    w: WordSource = PeriodicSource(HOLE)
     for i in range(1, stage + 1):
         # the holes stage i fills sit at multiples of block_length(i-1), so
         # past the prefix limit no prefix reaches one
@@ -542,15 +532,10 @@ def holub_for_target(
         raise ValueError("depth must be >= 1")
     ns: list[int] = []
     ds: list[int] = []
-    u_len = 0
-    d = 1
-    for _ in range(depth):
-        ds.append(d)
-        target = 2 * int(f(d)) + 1
-        nj = max(target, 2, ns[-1] if ns else 2)
-        ns.append(nj)
-        u_len = (u_len + 1) * (nj + 2) - 1
-        d = d + u_len + 1
+    for j in range(1, depth + 1):
+        # d_j reads only the exponents below level j, all chosen by now
+        ds.append(anchor_length(HolubParams(tuple(ns) or (2,)), j))
+        ns.append(max(2 * int(f(ds[-1])) + 1, 2, *ns[-1:]))
     return HolubParams(tuple(ns), tail=tail), ds
 
 

@@ -86,6 +86,82 @@ def test_peak_witness_pass():
     assert rep.details[0]["witness"] == "bba"
 
 
+def _planted_scan(monkeypatch, plant):
+    # every anchor scan goes through plant(the real scan's result)
+    real = checks.local_period_infinite
+    monkeypatch.setattr(checks, "local_period_infinite",
+                        lambda source, i, cap: plant(real(source, i, cap)))
+
+
+def _all_b(got):
+    # a wrong witness of the right length wherever the scan found one
+    return got if isinstance(got, periods.CapExceeded) else periods.RepetitionWitness(
+        got.length, got.case, "b" * got.length)
+
+
+def test_peak_periods_reports_a_planted_cap_hit(monkeypatch):
+    _planted_scan(monkeypatch, lambda got: periods.CapExceeded(13))
+    rep = check_peak_periods(P22, depth=2)
+    assert rep.status == FAIL and rep.instances == 2
+    assert rep.counterexample == {
+        "op": "local_period_infinite", "word": "holub:n=2,2;tail=repeat", "position": 1,
+        "cap": 4, "expected": 3, "actual": "> 4",
+    }
+    assert rep.details == [
+        {"j": 1, "position": 1, "expected": 3, "cap": 4, "outcome": "local period exceeds 4"},
+        {"j": 2, "position": 5, "expected": 12, "cap": 13, "outcome": "local period exceeds 13"},
+    ]
+
+
+def test_peak_periods_reports_a_planted_wrong_witness(monkeypatch):
+    _planted_scan(monkeypatch, _all_b)
+    rep = check_peak_periods(P22, depth=2)
+    assert rep.status == FAIL and rep.instances == 2
+    assert rep.counterexample == {
+        "op": "local_period_infinite", "word": "holub:n=2,2;tail=repeat", "position": 1,
+        "cap": 4, "expected": 3, "actual": 3, "expected_witness": "bba", "actual_witness": "bbb",
+    }
+    assert rep.details == [
+        {"j": 1, "position": 1, "expected": 3, "cap": 4, "actual": 3, "witness": "bbb",
+         "witness_expected": "bba", "sharp": True, "outcome": "mismatch"},
+        {"j": 2, "position": 5, "expected": 12, "cap": 13, "actual": 12, "witness": "b" * 12,
+         "witness_expected": "bbbabbbabbaa", "sharp": True, "outcome": "mismatch"},
+    ]
+
+
+@pytest.mark.parametrize("plant, actual", [
+    (lambda got: periods.CapExceeded(13), "cap-exceeded"),
+    (_all_b, "bbb"),
+], ids=["cap-hit", "wrong-witness"])
+def test_peak_witness_reports_a_planted_scan_failure(plant, actual, monkeypatch):
+    _planted_scan(monkeypatch, plant)
+    rep = check_peak_witness(P22, depth=2)
+    assert rep.status == FAIL and rep.instances == 2
+    assert rep.counterexample == {
+        "op": "local_period_infinite", "word": "holub:n=2,2;tail=repeat", "position": 1,
+        "cap": 4, "expected_witness": "bba", "actual": actual,
+    }
+    assert rep.details == [
+        {"j": 1, "position": 1, "length": 3, "witness": "bba", "outcome": "mismatch"},
+        {"j": 2, "position": 5, "length": 12, "witness": "bbbabbbabbaa", "outcome": "mismatch"},
+    ]
+
+
+def test_peak_witness_stops_at_a_witness_it_cannot_build(monkeypatch):
+    real = checks.predicted_witness
+
+    def witness(params, j):
+        if j == 2:
+            raise ValueError("planted")
+        return real(params, j)
+
+    monkeypatch.setattr(checks, "predicted_witness", witness)
+    rep = check_peak_witness(P22, depth=3)
+    assert rep.status == FAIL and rep.instances == 2
+    assert rep.counterexample == {"op": "predicted_witness", "j": 2, "error": "planted"}
+    assert rep.details == [{"j": 1, "position": 1, "length": 3, "witness": "bba", "outcome": "ok"}]
+
+
 def test_peak_average_reports_the_level_one_equality():
     # h at the first anchor coincides with peak/position, so strictness fails
     # there and holds from level 2 on; the checker must say exactly that
@@ -106,6 +182,20 @@ def test_block_closure_decodes():
     assert rep.status == PASS and rep.instances == 6
     for row in rep.details:
         assert row["decode"] == "a" + "b" * P22.n(row["i"]) + row["last"]
+
+
+def test_block_closure_reports_a_short_last_chunk(monkeypatch):
+    # u_2 one letter short: every full chunk is a block, the short last one is not
+    real = checks.holub_u
+    monkeypatch.setattr(checks, "holub_u",
+                        lambda params, j: real(params, j)[:-1] if j == 2 else real(params, j))
+    rep = check_block_closure(P22, depth=2)
+    assert rep.status == FAIL and rep.instances == 4
+    assert rep.counterexample == {
+        "op": "check_block_closure", "i": 2, "word": "abbaabbbabbbaba", "offset": 12, "chunk": "aba",
+        "expected_blocks": ["abba", "abbb"],
+    }
+    assert [(row["i"], row["last"]) for row in rep.details] == [(1, "a"), (1, "b")]
 
 
 def test_occurrence_rigidity_windowed():
@@ -245,6 +335,22 @@ def test_gain_step_rejects_non_refining_boundaries():
     rep = return_gain_step(lo, hi, window=1)
     assert rep.status == FAIL
     assert "do not refine" in rep.counterexample["error"]
+
+
+def test_gain_step_stops_at_a_block_its_constituents_do_not_spell():
+    # block 1 holds, block 2 is not spelled by its constituents; the length
+    # condition fails, but the report ends at the misfit without the +1/2 note
+    lo = ReturnFactorization("ab", "", ["ab", "b", "ab", "b"], 6)
+    hi = ReturnFactorization("abb", "", ["abb", "aba"], 6)
+    rep = return_gain_step(lo, hi, window=2)
+    assert rep.status == FAIL and rep.instances == 2
+    assert rep.counterexample == {
+        "op": "return_gain_step", "j": 2, "block": "aba",
+        "error": "high-level block boundaries do not refine low-level ones",
+        "z_lo": "ab", "z_hi": "abb",
+    }
+    assert rep.notes == "windowed m_lo=2, mu_hi=3; length condition FAILS in this window"
+    assert [row["j"] for row in rep.details] == [1]
 
 
 def test_gain_step_rejects_bordered_block():

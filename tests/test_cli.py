@@ -140,6 +140,21 @@ def test_parameter_error_exits_one(capsys):
     assert "known claims" in err
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["factorize", "--word", "fibonacci", "--mode", "dyadic", "--level", "20000", "--horizon", "64"],
+     "level"),
+    (["verify", "--word", "thue-morse", "--claim", "dyadic-gain", "--kprime", "20000",
+      "--repetition-bound", "2"], "kprime"),
+], ids=["factorize", "dyadic-gain"])
+def test_a_dyadic_level_past_the_prefix_limit_is_refused_by_name(argv, name, capsys):
+    # 2^20000 has over 4300 digits: it must be refused before it is built or printed
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"parameter error: {name} must be at most {MAX_PREFIX.bit_length() - 1}, "
+                          "got 20000"), err
+    assert "integer string conversion" not in err
+
+
 @pytest.mark.parametrize("args", [
     ["verify", "--claim", "big", "--word", "holub:n=99999999999;tail=repeat", "--J", "1"],
     ["generate", "--word", "toeplitz:n=99999999999;tail=repeat;stage=1", "--n", "9"],

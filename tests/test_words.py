@@ -26,7 +26,6 @@ from periwords.words import (
     anchor_length,
     anchor_word,
     fibonacci_source,
-    hole_source,
     holub_for_target,
     holub_letter,
     holub_letters,
@@ -39,7 +38,6 @@ from periwords.words import (
     predicted_witness,
     encode,
     thue_morse_source,
-    toeplitz_fill,
 )
 
 P222 = HolubParams((2, 2, 2))
@@ -135,7 +133,7 @@ def test_lex_compare_proper_prefix_is_smaller():
 
 
 def test_hole_encoding():
-    src = hole_source()
+    src = PeriodicSource(HOLE)
     assert src.prefix(4) == "????"
     assert list(src.ranks(3)) == [255, 255, 255]
 
@@ -402,17 +400,17 @@ def test_toeplitz_fill_with_a_holed_filler_and_a_prefix_ending_in_a_hole():
     for n in (3, 4, 6, 7, 600, 601, 1002):
         _assert_fill_matches_the_reference(src, n)
     assert src._generate(6) == "ab?bba"
-    assert ToeplitzSource(hole_source(), PeriodicSource("ab"))._generate(5) == "ababa"
+    assert ToeplitzSource(PeriodicSource(HOLE), PeriodicSource("ab"))._generate(5) == "ababa"
 
 
 def test_toeplitz_fill_takes_a_base_whose_first_hole_lies_far_out():
-    src = toeplitz_fill(PeriodicSource("a" * 5000 + HOLE), PeriodicSource("b"))
+    src = ToeplitzSource(PeriodicSource("a" * 5000 + HOLE), PeriodicSource("b"))
     assert src.prefix(10_002) == ("a" * 5000 + "b") * 2
 
 
 def test_toeplitz_fill_refuses_a_base_without_holes():
     with pytest.raises(ValueError) as info:
-        toeplitz_fill(PeriodicSource("ab"), PeriodicSource("b"))
+        ToeplitzSource(PeriodicSource("ab"), PeriodicSource("b"))
     assert str(info.value) == "base 'periodic:ab' has no holes to fill"
 
 
