@@ -6,14 +6,15 @@ the letter array: local_period_finite, local_periods_finite and
 local_period_stream apply the window rule stated in periods one length at a
 time, and least_rotation_index takes the least rotation with min.
 Vectorized numpy code, checked in the tests against the scalar kernels or
-against the loops they replaced: local_periods_stream; oracle_sweep and
-cft_sweep with the helpers the sweeps use (word_matrix, local_period_matrix,
-period_column, oracle_period_matrix, first_failure); the search kernels
-occurrence_list and max_run_exponent; and max_power, which reads the hits of
-occurrence_list. local_period_matrix applies the window rule stated in
-periods, one shift at a time for every row and position; it also serves the
-library: periods.factor_local_periods scans the factors of each length of a
-letter matrix with it.
+against the loops they replaced: local_periods_stream, whose overhang phase
+is one bytes.find per distinct answer; oracle_sweep and cft_sweep with the
+helpers the sweeps use (word_matrix, local_period_matrix, period_column,
+oracle_period_matrix, first_failure); the search kernels occurrence_list and
+max_run_exponent; and max_power, which reads the hits of occurrence_list.
+local_period_matrix applies the window rule stated in periods, one shift at
+a time for every row and position; it also serves the library:
+periods.factor_local_periods scans the factors of each length of a letter
+matrix with it.
 Positions handed to these functions are 1-based, matching the library API.
 """
 
@@ -103,7 +104,7 @@ def local_periods_stream(buf, n, cap):
     # (Karp-Miller-Rosenberg: equal names iff equal factors), so a square is
     # two name comparisons. Overhang case (L > i): positions with no square
     # of length <= min(i, cap) look for the length-i prefix at an offset
-    # L in (i, cap], scanning the offsets that still match the prefix.
+    # L in (i, cap], one substring search per distinct answer.
     out = np.zeros(n, np.int64)
     if n <= 0 or cap <= 0:
         return out
@@ -153,29 +154,25 @@ def local_periods_stream(buf, n, cap):
         todo = np.concatenate(left)
         h *= 2
     # the positions with no square are those still at 0; from i = cap on,
-    # (i, cap] is empty and out stays 0
+    # (i, cap] is empty and out stays 0. Position i answers the least L in
+    # (i, cap] with buf[L:L+i] == buf[:i]; such an L also serves every
+    # shorter prefix, so the answers never decrease along pos and the first
+    # failed search ends the phase. The L found for pos[k] answers every
+    # later j < L with buf[:j] == buf[L:L+j]: one find per distinct answer.
     pos = np.flatnonzero(out[:cap - 1] == 0) + 1
-    # cand holds the offsets L > pos[k] whose buf[L:L+have] equals buf[:have]
-    cand = np.arange(1, cap + 1, dtype=np.int64)
-    have = 0
-    k = 0
+    b = buf[:n + cap].tobytes()
+    L = k = 0
     while k < pos.size:
-        cand = cand[np.searchsorted(cand, pos[k], "right"):]
-        if cand.size == 0:
+        i = int(pos[k])
+        L = b.find(b[:i], max(i + 1, L), i + cap)
+        if L < 0:
             break
-        w = min(max(1, _BLOCK // cand.size), int(pos[-1]) - have)
-        match = buf[cand[:, None] + np.arange(have, have + w)] == buf[have:have + w]
-        # length of the prefix each offset repeats, known up to have + w
-        ell = have + np.where(match.all(1), w, match.argmin(1))
-        have += w
-        j = int(np.searchsorted(pos, have, "right"))
-        if j > k:
-            i = pos[k:j, None]
-            ok = (cand > i) & (ell >= i)
-            first = ok.argmax(1)
-            out[pos[k:j] - 1] = np.where(ok[np.arange(j - k), first], cand[first], 0)
-            k = j
-        cand = cand[ell >= have]
+        t = min(L - 1, int(pos[-1]))
+        # how far buf[L:] repeats the prefix, up to t letters
+        lcp = np.append(buf[:t] == buf[L:L + t], False).argmin()
+        j = int(np.searchsorted(pos, lcp, "right"))
+        out[pos[k:j] - 1] = L
+        k = j
     return out
 
 

@@ -671,6 +671,8 @@ def check_dyadic_gain(
     windowed estimate is used and shortfalls downgrade to inconclusive
     instead of fail (the estimate may undershoot the true supremum).
     """
+    if k >= kprime:
+        raise ValueError(f"k must be below kprime, got k={k}, kprime={kprime}")
     blen = _dyadic_length(kprime, "kprime")
     if horizon is None:
         horizon = blen * (window + 2)

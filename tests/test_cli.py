@@ -155,6 +155,18 @@ def test_a_dyadic_level_past_the_prefix_limit_is_refused_by_name(argv, name, cap
     assert "integer string conversion" not in err
 
 
+@pytest.mark.parametrize("k, kprime, bound", [("3", "1", "0"), ("100000000", "4", "2")],
+                         ids=["no-exponent", "huge-k"])
+def test_dyadic_gain_refuses_k_not_below_kprime_by_name(k, kprime, bound, capsys):
+    # with e = 0 the level-gap test passes any k, and 2^(kprime - k) is a
+    # float slice bound; a huge k would build 2^(k+1) before the gap test
+    argv = ["verify", "--word", "thue-morse", "--claim", "dyadic-gain", "--k", k,
+            "--kprime", kprime, "--repetition-bound", bound]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"parameter error: k must be below kprime, got k={k}, kprime={kprime}\n")
+
+
 @pytest.mark.parametrize("args", [
     ["verify", "--claim", "big", "--word", "holub:n=99999999999;tail=repeat", "--J", "1"],
     ["generate", "--word", "toeplitz:n=99999999999;tail=repeat;stage=1", "--n", "9"],

@@ -97,6 +97,21 @@ def test_stream_scan_every_binary_buffer(table):
                     letters, n, cap)
 
 
+@pytest.mark.parametrize("letters, top", [(2, 9), (3, 6)], ids=["binary", "ternary"])
+def test_stream_scan_every_short_buffer_with_letters_past_the_scan(table, letters, top):
+    # every (n, cap) with n + cap <= |buf|: letters past n + cap must not be
+    # read, so no overhang search may look past offset cap. Position i reads
+    # buf[:i+cap] alone, so one per-position scan to n = |buf| - cap serves
+    # every shorter n
+    for size in range(1, top + 1):
+        for word in itertools.product(range(letters), repeat=size):
+            buf = np.array(word, np.uint8)
+            for cap in range(size + 1):
+                want = _stream_by_position(table, buf, size - cap, cap)
+                for n in range(size - cap + 1):
+                    assert _stream(table, buf, n, cap) == want[:n], (word, n, cap)
+
+
 @pytest.mark.parametrize("descriptor", [
     "fibonacci", "morphic:a=aaab,b=a;seed=a", "periodic:aababbbb", "holub:n=2,3,4;tail=repeat",
 ])
@@ -181,6 +196,33 @@ def _periodic_stretches_with_a_defect(draw):
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(_periodic_stretches_with_a_defect())
 def test_stream_scan_on_periodic_stretches_with_a_defect(case):
+    buf, n, cap = case
+    assert _stream(PY, buf, n, cap) == _stream_by_position(PY, buf, n, cap)
+
+
+@st.composite
+def _recurring_prefixes(draw):
+    # a random buffer that starts with u (2-40 letters) and repeats it at
+    # 1-6 random offsets, each copy with 0-2 letters changed: overhang
+    # positions then share answers, and near-copies end the prefix matches
+    k = draw(st.integers(2, 3))
+    size = draw(st.integers(60, 400))
+    letters = draw(st.lists(st.integers(0, k - 1), min_size=size, max_size=size))
+    u = draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=40))
+    letters[:len(u)] = u
+    for at in draw(st.lists(st.integers(1, size - len(u)), min_size=1, max_size=6)):
+        copy = list(u)
+        for t in draw(st.lists(st.integers(0, len(u) - 1), max_size=2)):
+            copy[t] = (copy[t] + 1) % k
+        letters[at:at + len(u)] = copy
+    n = draw(st.integers(1, size - 1))
+    cap = draw(st.integers(1, size - n))
+    return np.array(letters, np.uint8), n, cap
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_recurring_prefixes())
+def test_stream_scan_on_recurring_prefixes(case):
     buf, n, cap = case
     assert _stream(PY, buf, n, cap) == _stream_by_position(PY, buf, n, cap)
 
