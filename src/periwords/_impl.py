@@ -1,10 +1,17 @@
 """Scan kernels over uint8 letter arrays: the one kernel table.
 
 Scalar Python loops: border_table (and period_of and shortest_border_length
-on it) and oracle_local_period. Scalar kernels that compare byte slices of
-the letter array: local_period_finite, local_periods_finite and
-local_period_stream apply the window rule stated in periods one length at a
-time, and least_rotation_index takes the least rotation with min.
+on it). Scalar kernels that compare byte slices of the letter array:
+local_period_finite, local_periods_finite and local_period_stream apply the
+window rule stated in periods one length at a time, and least_rotation_index
+takes the least rotation with min.
+The two brute-force oracles state the definition the scans are checked
+against: the local period at a split (u, v) is the least length of a word r
+that ends with u or is a suffix of it, and starts with v or is a prefix of
+it. oracle_local_period tries every candidate r as a byte string with
+endswith/startswith; oracle_period_matrix tries every candidate code against
+every row's code in base-k arithmetic. Neither reads a scan kernel or the
+other oracle.
 Vectorized numpy code, checked in the tests against the scalar kernels or
 against the loops they replaced: local_periods_stream, whose overhang phase
 is one bytes.find per distinct answer; oracle_sweep and cft_sweep with the
@@ -17,6 +24,8 @@ periods.factor_local_periods scans the factors of each length of a letter
 matrix with it.
 Positions handed to these functions are 1-based, matching the library API.
 """
+
+from itertools import product
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -177,44 +186,15 @@ def local_periods_stream(buf, n, cap):
 
 
 def oracle_local_period(w, i, nletters):
-    # reference answer by brute force: enumerate every candidate word r of
-    # each length L and test the two comparability conditions verbatim.
+    # reference answer by brute force, the definition verbatim: the least
+    # length of a word r over nletters letters that ends with u = w[:i] (or
+    # u ends with r) and starts with v = w[i:] (or v starts with r); r = vu
+    # always qualifies, so the answer is at most n
     n = w.shape[0]
-    lv = n - i
-    rr = np.empty(n, np.uint8)
+    u, v = w[:i].tobytes(), w[i:].tobytes()
     for L in range(1, n + 1):
-        total = 1
-        for _ in range(L):
-            total *= nletters
-        for code in range(total):
-            c = code
-            for t in range(L - 1, -1, -1):
-                rr[t] = c % nletters
-                c //= nletters
-            ok = True
-            if L <= i:
-                for t in range(L):
-                    if rr[t] != w[i - L + t]:
-                        ok = False
-                        break
-            else:
-                for t in range(i):
-                    if w[t] != rr[L - i + t]:
-                        ok = False
-                        break
-            if not ok:
-                continue
-            if L <= lv:
-                for t in range(L):
-                    if rr[t] != w[i + t]:
-                        ok = False
-                        break
-            else:
-                for t in range(lv):
-                    if rr[t] != w[i + t]:
-                        ok = False
-                        break
-            if ok:
+        for r in map(bytes, product(range(nletters), repeat=L)):
+            if (r.endswith(u) or u.endswith(r)) and (r.startswith(v) or v.startswith(r)):
                 return L
     return n
 
@@ -270,43 +250,43 @@ def period_column(words):
 
 
 def oracle_period_matrix(words, nletters):
-    # oracle_local_period at every position of every row. For each L it
-    # enumerates all nletters^L candidate words r and tests the two
-    # comparability conditions letter by letter against every open row, in
-    # (letters x rows x candidates) blocks of about _BLOCK elements; it never
-    # reads the scan. L = n is not enumerated: the oracle answers n either way.
+    # oracle_local_period at every position of every row, in base-k digits
+    # (k = nletters, last letter least significant, as in word_matrix). The
+    # candidate r of length L with code c ends with u = w[:i] (or u ends with
+    # r) iff c % k^a spells the last a = min(L, i) letters of u, and starts
+    # with v = w[i:] (or v starts with r) iff c // k^(L-b) spells the first
+    # b = min(L, n-i) letters of v. Every code c < k^L is tried against every
+    # open row's own code; it never reads the scan. L = n is not enumerated:
+    # the oracle answers n either way.
     rows, n = words.shape
-    out = np.empty((rows, n), np.int64)
-    # letters first, so each block reduces over its leading axis
-    wt = np.ascontiguousarray(words.T)
-    cands = [None] + [np.ascontiguousarray(word_matrix(L, nletters).T) for L in range(1, n)]
+    k = nletters
+    # every code and power of k below is at most k^n: the least type that
+    # holds k^n, and blocks of _BLOCK // 4 comparisons, keep the bool blocks
+    # and the buffers numpy fills to broadcast them small
+    code = np.zeros(rows, np.min_scalar_type(k ** n))
+    for t in range(n):
+        code = code * k + words[:, t]
+    out = np.full((rows, n), n, np.int64)
     for i in range(1, n + 1):
-        lv = n - i
-        col = np.full(rows, n, np.int64)
         todo = np.arange(rows)
         for L in range(1, n):
             if todo.size == 0:
                 break
-            # r ends with u = w[:i] (or u ends with r), and r starts with
-            # v = w[i:] (or v starts with r)
-            a = max(0, L - i)
-            b = max(0, i - L)
-            m = min(L, lv)
-            r = cands[L][:, None]
-            k = r.shape[2]
-            cstep = max(1, _BLOCK // L)
-            rstep = max(1, _BLOCK // (min(k, cstep) * L))
+            a, b = min(L, i), min(L, n - i)
+            u = code[todo] // k ** (n - i) % k ** a
+            v = code[todo] // k ** (n - i - b) % k ** b
+            cstep = min(k ** L, _BLOCK // 4)
+            rstep = _BLOCK // 4 // cstep
             hit = np.zeros(todo.size, bool)
-            for s in range(0, todo.size, rstep):
-                w = wt[:, todo[s:s + rstep], None]
-                for c in range(0, k, cstep):
-                    rc = r[:, :, c:c + cstep]
-                    ok = (rc[a:] == w[b:i]).all(0)
-                    ok &= (rc[:m] == w[i:i + m]).all(0)
+            for lo in range(0, k ** L, cstep):
+                c = np.arange(lo, min(lo + cstep, k ** L), dtype=code.dtype)
+                cu, cv = c % k ** a, c // k ** (L - b)
+                for s in range(0, todo.size, rstep):
+                    ok = cu == u[s:s + rstep, None]
+                    ok &= cv == v[s:s + rstep, None]
                     hit[s:s + rstep] |= ok.any(1)
-            col[todo[hit]] = L
+            out[todo[hit], i - 1] = L
             todo = todo[~hit]
-        out[:, i - 1] = col
     return out
 
 

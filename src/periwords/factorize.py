@@ -16,6 +16,12 @@ from .periods import h_of_row, local_period_table
 from .words import MAX_PREFIX, WordSource, encode
 
 
+def _quote(w: str) -> str:
+    # a word for a message: as repr up to 64 letters, else its first 32
+    # letters and its length
+    return repr(w) if len(w) <= 64 else f"{w[:32]!r}... ({len(w)} letters)"
+
+
 def occurrences(z: str, source: WordSource, horizon: int) -> list[int]:
     """0-based offsets of every occurrence of z inside the window.
 
@@ -114,7 +120,7 @@ def alpha_chain(
         e = max_exponent(alpha, source, horizon)
         if e == 0:
             raise InsufficientWindowError(
-                f"level-{k} word {alpha!r} does not occur within horizon {horizon}"
+                f"level-{k} word {_quote(alpha)} does not occur within horizon {horizon}"
             )
         if repetition_bound is not None and e > repetition_bound:
             raise ValueError(
@@ -182,7 +188,7 @@ def return_factorization(
     occ = occurrences(z, source, horizon)
     if len(occ) < 2:
         raise InsufficientWindowError(
-            f"{z!r} occurs {len(occ)} time(s) in a window of {horizon}; need >= 2"
+            f"{_quote(z)} occurs {len(occ)} time(s) in a window of {horizon}; need >= 2"
         )
     text = source.prefix(horizon)
     preamble = text[: occ[0]]
@@ -190,9 +196,8 @@ def return_factorization(
     if assert_block_prefix:
         for j, w in enumerate(returns, 1):
             if not w.startswith(z):
-                raise ValueError(
-                    f"marker occurrences overlap: block {j} ({w!r}) does not start with {z!r}"
-                )
+                raise ValueError(f"marker occurrences overlap: block {j} ({_quote(w)}) "
+                                 f"does not start with {_quote(z)}")
     return ReturnFactorization(z, preamble, returns, horizon, exponent)
 
 

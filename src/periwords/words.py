@@ -553,6 +553,18 @@ def _parse_kv(body: str) -> dict[str, str]:
     return out
 
 
+def _read_int(text: str, error: str) -> int:
+    # an optional '-' and ASCII digits between spaces, nothing else: int()
+    # would also read '+', '_' separators and digits of other scripts
+    text = text.strip()
+    if text.isascii() and text.removeprefix("-").isdigit():
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise DescriptorError(error)
+
+
 def _parse_holub_params(body: str, extra_keys: tuple[str, ...] = ()) -> tuple[HolubParams, dict[str, str]]:
     kv = _parse_kv(body)
     unknown = set(kv) - {"n", "tail", "strict"} - set(extra_keys)
@@ -560,19 +572,14 @@ def _parse_holub_params(body: str, extra_keys: tuple[str, ...] = ()) -> tuple[Ho
         raise DescriptorError(f"unknown keys {sorted(unknown)!r}")
     if "n" not in kv:
         raise DescriptorError("missing n=... exponent list")
-    try:
-        head = tuple(int(v) for v in kv["n"].split(","))
-    except ValueError as exc:
-        raise DescriptorError(f"bad exponent list {kv['n']!r}") from exc
+    bad = f"bad exponent list {kv['n']!r}"
+    head = tuple(_read_int(v, bad) for v in kv["n"].split(","))
     tail = kv.get("tail", "repeat")
     step = 1
     if tail.startswith("step"):
-        tail, _, rest = tail.partition(":")
-        if rest:
-            try:
-                step = int(rest)
-            except ValueError as exc:
-                raise DescriptorError(f"bad step {rest!r}") from exc
+        tail, colon, rest = tail.partition(":")
+        if colon:
+            step = _read_int(rest, f"bad step {rest!r}")
     strict = kv.get("strict", "0")
     if strict not in ("1", "true", "yes", "0", "false", "no"):
         raise DescriptorError(f"bad strict value {strict!r}")
@@ -639,10 +646,7 @@ def parse_descriptor(text: str) -> WordSource:
         params, kv = _parse_holub_params(body, extra_keys=("stage",))
         if "stage" not in kv:
             raise DescriptorError("toeplitz needs stage=...")
-        try:
-            stage = int(kv["stage"])
-        except ValueError as exc:
-            raise DescriptorError(f"bad stage {kv['stage']!r}") from exc
+        stage = _read_int(kv["stage"], f"bad stage {kv['stage']!r}")
         if stage < 0:
             raise DescriptorError("stage must be >= 0")
         return holub_toeplitz(params, stage)

@@ -632,6 +632,14 @@ def test_oracle_equivalence_small():
     assert rep.instances == sum(n * 2 ** n for n in range(1, 9))
 
 
+def test_one_letter_sweeps():
+    # a^n has period 1 and local period 1 at every position
+    rep = check_oracle_equivalence(alphabet_size=1, maxlen=12)
+    assert rep.status == PASS and rep.instances == sum(range(1, 13)) == 78
+    rep = check_critical_exhaustive(alphabet_size=1, maxlen=12)
+    assert rep.status == PASS and rep.instances == 12
+
+
 @pytest.mark.parametrize("nletters,maxlen", [(2, 6), (3, 4)])
 def test_decode_word_follows_the_sweep_letter_matrix(nletters, maxlen):
     # a sweep's (bad_n, bad_code) must decode to the word the sweep tested

@@ -132,6 +132,14 @@ def test_window_error_exits_one(capsys):
     assert capsys.readouterr().err.startswith("window error:")
 
 
+def test_a_window_error_names_a_long_chain_power_by_its_length(capsys):
+    # the return-gain marker of periodic:ab is the chain power (ab)^10000
+    assert main(["verify", "--claim", "return-gain", "--word", "periodic:ab"]) == 1
+    assert capsys.readouterr() == (
+        "", "window error: 'abababababababababababababababab'... (20000 letters) occurs 1 time(s) "
+            "in a window of 20000; need >= 2\n")
+
+
 def test_parameter_error_exits_one(capsys):
     assert main(["verify", "--word", "fibonacci", "--claim", "big"]) == 1
     assert capsys.readouterr().err.startswith("parameter error:")
@@ -1219,7 +1227,7 @@ DESCRIPTORS = _mostly(
     # malformed bodies: any family, any text of the grammar's characters
     st.sampled_from(["", "nosuch", " fibonacci "])
     | st.builds(lambda family, body: f"{family}:{body}", st.sampled_from(FAMILIES),
-                st.text(FUZZ_LETTERS + ":;=,-0123456789", max_size=16)),
+                st.text(FUZZ_LETTERS + ":;=,-+_٣0123456789", max_size=16)),
 )
 
 def _count(top: int):

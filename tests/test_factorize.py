@@ -152,6 +152,19 @@ def test_return_factorization_json_fields():
     assert data["z"] == "aa" and data["e"] == 2 and data["m_k"] == 5
 
 
+def test_window_errors_quote_a_word_past_64_letters_by_its_length():
+    # ab repeated 32 times occurs once in a window of 64 letters; one more
+    # letter makes the marker too long to quote whole
+    src = PeriodicSource("ab")
+    with pytest.raises(InsufficientWindowError) as exc:
+        return_factorization(src, "ab" * 32, 64)
+    assert str(exc.value) == f"{'ab' * 32!r} occurs 1 time(s) in a window of 64; need >= 2"
+    with pytest.raises(InsufficientWindowError) as exc:
+        return_factorization(src, "ab" * 32 + "a", 65)
+    assert str(exc.value) == (f"{'ab' * 16!r}... (65 letters) occurs 1 time(s) in a window of 65; "
+                              "need >= 2")
+
+
 def test_return_factorization_overlap_rejected():
     # occurrences of "aa" inside (a)^... overlap; the prefix discipline must trip
     src = PeriodicSource("aab")

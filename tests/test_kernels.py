@@ -370,6 +370,36 @@ def test_sweep_matrices_match_the_scalar_kernels(maxlen, nletters):
             assert p == int(PY.period_of(w)), w
 
 
+@pytest.mark.parametrize("rows,n", [(0, 0), (0, 9), (4, 0), (9, 1)])
+def test_oracle_period_matrix_on_empty_and_one_column_shapes(rows, n):
+    words = np.random.default_rng(rows + n).integers(0, 3, (rows, n), dtype=np.uint8)
+    got = PY.oracle_period_matrix(words, 3)
+    assert got.dtype == np.int64 and got.shape == words.shape
+    assert got.tolist() == [[PY.oracle_local_period(w, i, 3) for i in range(1, n + 1)]
+                            for w in words]
+
+
+def test_neither_oracle_reads_the_scan(monkeypatch):
+    # every binary word up to 8 letters: both oracles give the same answers
+    # with every scan kernel they could lean on made to raise
+    blocks = [PY.word_matrix(n, 2) for n in range(1, 9)]
+
+    def answers():
+        return [(PY.oracle_period_matrix(words, 2).tolist(),
+                 [[PY.oracle_local_period(w, i, 2) for i in range(1, n + 1)] for w in words])
+                for n, words in enumerate(blocks, 1)]
+
+    want = answers()
+    assert all(matrix == scalar for matrix, scalar in want)
+
+    def scan(*args):
+        raise AssertionError("an oracle read a scan kernel")
+
+    for name in ("_window_period", "local_period_matrix", "local_periods_stream"):
+        monkeypatch.setattr(PY, name, scan)
+    assert answers() == want
+
+
 def _matrix_and_loop(words):
     out = PY.local_period_matrix(words)
     assert out.dtype == np.int64 and out.shape == words.shape

@@ -555,6 +555,12 @@ def test_descriptor_equivalences():
         ("morphic:a=ba,a=ab,b=a;seed=a", "rule for 'a' given twice"),
         ("morphic:a=ab,b=a;seed=b;seed=a", "seed given twice"),
         ("holub:n=2,2;n=3,3", "key 'n' given twice"),
+        # numbers are an optional '-' and ASCII digits: no other script's
+        # digits, no '_' separators, no '+', no empty step
+        ("holub:n=٢,٣", "bad exponent list"),
+        ("holub:n=2_0", "bad exponent list"),
+        ("toeplitz:n=2;stage=+1", "bad stage"),
+        ("holub:n=2;tail=step:", "bad step"),
     ],
 )
 def test_descriptor_errors(bad, hint):
