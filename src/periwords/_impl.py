@@ -17,7 +17,10 @@ against the loops they replaced: local_periods_stream, whose overhang phase
 is one bytes.find per distinct answer; oracle_sweep and cft_sweep with the
 helpers the sweeps use (word_matrix, local_period_matrix, period_column,
 oracle_period_matrix, first_failure); the search kernels occurrence_list and
-max_run_exponent; and max_power, which reads the hits of occurrence_list.
+max_run_exponent; max_power, which reads the hits of occurrence_list; and
+factor_return_times, which names every factor of a word at once for
+checks.check_return_time_bound and is checked against one occurrence_list
+call per factor.
 local_period_matrix applies the window rule stated in periods, one shift at
 a time for every row and position; it also serves the library:
 periods.factor_local_periods scans the factors of each length of a letter
@@ -365,6 +368,53 @@ def occurrence_list(z, s):
         cand = cand[(s[cand[:, None] + np.arange(t, t + w)] == z[t:t + w]).all(1)]
         t += w
     return cand
+
+
+def factor_return_times(u, s, cut):
+    # one row (L, a, count, gap) for each distinct factor z = u[a:a+L] of u
+    # with L <= cut: a is z's first offset in u, count the occurrences of z
+    # in s and gap the largest distance between two consecutive ones (0 when
+    # there are fewer than two). u and s lie side by side in one array, and
+    # the factors of each length are named at once (Karp-Miller-Rosenberg):
+    # for L = 1..cut one stable sort of the key (name of length L-1, next
+    # letter) groups the offsets by factor, and the group ranks are the
+    # names of length L. Every group keeps its offsets in increasing order,
+    # so u's come first and s's follow in order: the first offset is a, and
+    # the differences between consecutive offsets in s are the gaps. An
+    # offset leaves for good once its factor runs past the end of its part
+    # or is no factor of u.
+    nu = u.shape[0]
+    text = np.concatenate((u, s))
+    pos = np.arange(text.shape[0])
+    name = np.zeros_like(pos)
+    rows = [np.empty((0, 4), np.int64)]
+    for L in range(1, min(cut, nu) + 1):
+        key = name * 256 + text[pos + L - 1]
+        # ties go by the current order, so the sort is stable whatever its
+        # kind; the default kind's code is resident already, the stable
+        # kind's would add about 0.2 MB to the process. Names stay below the
+        # offset count n, so the tie keys stay below 256 n^2 < 2^63.
+        order = np.argsort(key * key.size + np.arange(key.size))
+        pos, key = pos[order], key[order]
+        new = np.flatnonzero(key[1:] != key[:-1]) + 1
+        starts = np.concatenate(([0], new))
+        name = np.zeros_like(pos)
+        name[new] = 1
+        np.cumsum(name, out=name)
+        ins = pos >= nu
+        # the distance from each offset in s to the next one of its group
+        gap = np.zeros_like(pos)
+        gap[:-1] = pos[1:] - pos[:-1]
+        gap[new - 1] = 0
+        gap[~ins] = 0
+        first = pos[starts]
+        g = np.flatnonzero(first < nu)
+        rows.append(np.column_stack((
+            np.full(g.size, L), first[g], np.bincount(name[ins], minlength=starts.size)[g],
+            np.maximum.reduceat(gap, starts)[g])))
+        keep = (first < nu)[name] & (pos + L < np.where(ins, text.shape[0], nu))
+        pos, name = pos[keep], name[keep]
+    return np.concatenate(rows)
 
 
 def max_power(v, s):

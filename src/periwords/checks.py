@@ -327,19 +327,19 @@ def check_occurrence_rigidity(
     report = VerificationReport(status=WINDOWED)
     for i in range(1, depth + 1):
         u = holub_u(params, i)
-        occ = occurrences(u, source, horizon)
-        report.instances += len(occ)
-        bad = [o for o in occ if o % (len(u) + 1) != 0]
-        if bad:
+        occ = np.asarray(occurrences(u, source, horizon), np.int64)
+        report.instances += occ.size
+        bad = occ[occ % (len(u) + 1) != 0]
+        if bad.size:
             report.fail({
                 "op": "occurrences",
                 "word": source.descriptor,
                 "factor_level": i,
-                "offset": bad[0],
+                "offset": int(bad[0]),
                 "modulus": len(u) + 1,
             })
         report.details.append(
-            {"i": i, "count": len(occ), "modulus": len(u) + 1, "violations": len(bad)}
+            {"i": i, "count": occ.size, "modulus": len(u) + 1, "violations": bad.size}
         )
     return report
 
@@ -422,15 +422,20 @@ def check_return_time_bound(
         bound = len(u) + 1
         hz = horizon if horizon is not None else max(256, 24 * bound)
         cut = len(u) if max_factor_len is None else min(max_factor_len, len(u))
-        factors = {u[a:b] for a in range(len(u)) for b in range(a + 1, min(len(u), a + cut) + 1)}
+        # each distinct factor of u of length <= cut, with its occurrence
+        # count and largest gap in the window
+        factors = {}
+        if cut:
+            columns = kernels.active.factor_return_times(
+                source.alphabet.encode(u), source.ranks(hz), cut).T.tolist()
+            factors = {u[a:a + L]: (c, g) for L, a, c, g in zip(*columns)}
         worst = 0
         for z in sorted(factors):
-            occ = occurrences(z, source, hz)
-            if len(occ) < 2:
+            count, gap = factors[z]
+            if count < 2:
                 raise InsufficientWindowError(
-                    f"factor {z!r} has {len(occ)} occurrence(s) in horizon {hz}"
+                    f"factor {z!r} has {count} occurrence(s) in horizon {hz}"
                 )
-            gap = max(b - a for a, b in zip(occ, occ[1:]))
             worst = max(worst, gap)
             report.instances += 1
             if gap > bound:
@@ -452,6 +457,21 @@ def check_return_time_bound(
 # the minimal-return chain and its gain step
 
 
+def _least_factor(source: WordSource, m: int, horizon: int) -> str:
+    # the least factor of length m in the window, in the alphabet's order:
+    # the start offsets narrowed, one letter column at a time, to those with
+    # the least letter in that column
+    ranks = source.ranks(horizon)
+    start = np.arange(ranks.size - m + 1)
+    for c in range(m):
+        if start.size == 1:
+            break
+        column = ranks[start + c]
+        start = start[column == column.min()]
+    t = int(start[0])
+    return source.prefix(horizon)[t:t + m]
+
+
 @_claim("min-return-chain")
 def check_lexmin_return_words(
     source: WordSource,
@@ -468,15 +488,13 @@ def check_lexmin_return_words(
     """
     chain = alpha_chain(source, depth, horizon, repetition_bound)
     report = VerificationReport(status=WINDOWED)
-    text = source.prefix(horizon)
     alphabet = source.alphabet
     for k in range(1, depth + 1):
         entry = chain.level(k)
         a, e = entry.alpha, entry.exponent
         z = a * e
         row = {"k": k, "alpha": a, "exponent": e}
-        windows = dict.fromkeys(text[t:t + len(a)] for t in range(len(text) - len(a) + 1))
-        lexmin = min(windows, key=alphabet.sort_key)
+        lexmin = _least_factor(source, len(a), horizon)
         rws, _ = return_words(z, source, horizon)
         not_lyndon = [w for w in rws if not is_lyndon(w, alphabet)]
         bordered = [w for w in rws if not is_unbordered(w)]

@@ -10,6 +10,8 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import accumulate
 
+import numpy as np
+
 from . import kernels
 from .errors import InsufficientWindowError
 from .periods import h_of_row, local_period_table
@@ -194,10 +196,13 @@ def return_factorization(
     preamble = text[: occ[0]]
     returns = [text[a:b] for a, b in zip(occ, occ[1:])]
     if assert_block_prefix:
-        for j, w in enumerate(returns, 1):
-            if not w.startswith(z):
-                raise ValueError(f"marker occurrences overlap: block {j} ({_quote(w)}) "
-                                 f"does not start with {_quote(z)}")
+        # block j starts with z exactly when the next occurrence is at least
+        # |z| letters after occurrence j
+        short = np.flatnonzero(np.diff(occ) < len(z))
+        if short.size:
+            j = int(short[0])
+            raise ValueError(f"marker occurrences overlap: block {j + 1} ({_quote(returns[j])}) "
+                             f"does not start with {_quote(z)}")
     return ReturnFactorization(z, preamble, returns, horizon, exponent)
 
 

@@ -578,6 +578,8 @@ def _parse_holub_params(body: str, extra_keys: tuple[str, ...] = ()) -> tuple[Ho
     step = 1
     if tail.startswith("step"):
         tail, colon, rest = tail.partition(":")
+        if tail == "step" and not colon:
+            raise DescriptorError("bad step: tail=step needs its K, as in tail=step:1")
         if colon:
             step = _read_int(rest, f"bad step {rest!r}")
     strict = kv.get("strict", "0")

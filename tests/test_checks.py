@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from periwords import checks, kernels, periods
 from periwords.checks import (
@@ -37,7 +39,7 @@ from periwords.checks import (
     return_gain_step,
 )
 from periwords.errors import InsufficientWindowError
-from periwords.factorize import ReturnFactorization, return_factorization
+from periwords.factorize import ReturnFactorization, occurrences, return_factorization
 from periwords.periods import period, profile
 from periwords.words import (
     HolubParams,
@@ -45,6 +47,7 @@ from periwords.words import (
     WordSource,
     fibonacci_source,
     holub_letter,
+    holub_u,
     holub_word,
     parse_descriptor,
     thue_morse_source,
@@ -268,6 +271,111 @@ def test_return_time_bound_factor_len_cut():
     assert cut.status == WINDOWED
 
 
+def _loop_return_time_stats(u, source, horizon, cut):
+    # the per-factor loop that factor_return_times replaced: one occurrences
+    # call per distinct factor z of u with |z| <= cut, giving z's count in the
+    # window and its largest gap (0 below two occurrences)
+    stats = {}
+    for z in {u[a:b] for a in range(len(u)) for b in range(a + 1, min(len(u), a + cut) + 1)}:
+        occ = occurrences(z, source, horizon)
+        stats[z] = (len(occ), max((y - x for x, y in zip(occ, occ[1:])), default=0))
+    return stats
+
+
+def _named_return_time_stats(u, source, horizon, cut):
+    rows = kernels.active.factor_return_times(
+        source.alphabet.encode(u), source.ranks(horizon), cut).tolist()
+    stats = {u[a:a + L]: (count, gap) for L, a, count, gap in rows}
+    assert len(stats) == len(rows)  # one row per distinct factor
+    assert all(u.find(u[a:a + L]) == a for L, a, _, _ in rows)  # at its first offset
+    return stats
+
+
+ACCEPTANCE_HOLUB = [HolubParams((2, 2)), HolubParams((2, 3, 4)), HolubParams((3, 3, 3))]
+
+
+@pytest.mark.parametrize("params", ACCEPTANCE_HOLUB, ids=lambda p: p.descriptor_body())
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_factor_return_times_match_the_loop_on_holub_words(params, depth):
+    source = holub_word(params)
+    u = holub_u(params, depth)
+    default = max(256, 24 * (len(u) + 1))
+    for horizon in (3, 5, 8, 12, 14, 40, default):
+        assert (_named_return_time_stats(u, source, horizon, len(u))
+                == _loop_return_time_stats(u, source, horizon, len(u))), horizon
+    for cut in (1, 2, 5):
+        assert (_named_return_time_stats(u, source, default, cut)
+                == _loop_return_time_stats(u, source, default, min(cut, len(u)))), cut
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.text("ab", min_size=1, max_size=12), st.text("ab", min_size=1, max_size=60),
+       st.integers(1, 12))
+def test_factor_return_times_match_the_loop_on_random_binary_windows(u, window, cut):
+    # the window is the whole pattern of a periodic source
+    source = PeriodicSource(window)
+    cut = min(cut, len(u))
+    assert (_named_return_time_stats(u, source, len(window), cut)
+            == _loop_return_time_stats(u, source, len(window), cut))
+
+
+def test_factor_return_times_without_a_factor_to_name():
+    rows = kernels.active.factor_return_times(np.zeros(3, np.uint8), np.zeros(5, np.uint8), 0)
+    assert rows.shape == (0, 4)
+
+
+@pytest.mark.parametrize("positions, least", [((40,), "aabbb"), ((150,), "ab")])
+def test_return_time_bound_reports_the_least_factor_over_its_bound(monkeypatch, positions, least):
+    # a flipped letter stretches some gaps past |u_i| + 1: at level 2 for
+    # position 40, at both levels for position 150, where level 1's least
+    # factor is the counterexample kept
+    monkeypatch.setattr(checks, "holub_word", lambda params: _FlippedHolub(params, positions))
+    rep = check_return_time_bound(P22, depth=2)
+    source = _FlippedHolub(P22, positions)
+    rows = []
+    first = None
+    for i in (1, 2):
+        u = holub_u(P22, i)
+        bound = len(u) + 1
+        horizon = max(256, 24 * bound)
+        stats = _loop_return_time_stats(u, source, horizon, len(u))
+        over = sorted(z for z, (_, gap) in stats.items() if gap > bound)
+        if over and first is None:
+            first = {"op": "occurrences", "word": "holub:n=2,2;tail=repeat", "factor": over[0],
+                     "max_gap": stats[over[0]][1], "bound": bound, "horizon": horizon}
+        rows.append({"i": i, "factors": len(stats), "bound": bound,
+                     "max_gap_seen": max(gap for _, gap in stats.values())})
+    assert first["factor"] == least
+    assert rep.status == FAIL and rep.counterexample == first
+    assert rep.details == rows and rep.instances == sum(row["factors"] for row in rows)
+
+
+@pytest.mark.parametrize("depth, horizon", [(1, 0), (2, 3), (2, 14), (2, 20), (3, 12), (3, 40)])
+def test_return_time_bound_names_the_least_factor_the_window_lacks(depth, horizon):
+    # the least factor in sorted order with fewer than two occurrences, at
+    # the first level that has one; a window shorter than u_i lacks its
+    # longest factors altogether, and the empty window every factor
+    for i in range(1, depth + 1):
+        u = holub_u(P22, i)
+        stats = _loop_return_time_stats(u, holub_word(P22), horizon, len(u))
+        rare = sorted(z for z, (count, _) in stats.items() if count < 2)
+        if rare:
+            break
+    z = rare[0]
+    with pytest.raises(InsufficientWindowError) as exc:
+        check_return_time_bound(P22, depth=depth, horizon=horizon)
+    assert str(exc.value) == f"factor {z!r} has {stats[z][0]} occurrence(s) in horizon {horizon}"
+
+
+def test_return_time_bound_names_a_factor_the_window_never_shows(monkeypatch):
+    # (abb)^k holds every factor of u_1 = abb within 4 letters, but not aa,
+    # the least factor of u_2 after a
+    monkeypatch.setattr(checks, "holub_word", lambda params: PeriodicSource("abb"))
+    with pytest.raises(InsufficientWindowError) as exc:
+        check_return_time_bound(P22, depth=2)
+    assert str(exc.value) == "factor 'aa' has 0 occurrence(s) in horizon 384"
+
+
 # ---------------------------------------------------------------------------
 # minimal chain claims
 
@@ -282,6 +390,20 @@ def test_lexmin_return_words_fibonacci():
 def test_lexmin_return_words_thue_morse():
     rep = check_lexmin_return_words(TM, depth=2, repetition_bound=2)
     assert rep.status == WINDOWED
+
+
+@pytest.mark.parametrize("descriptor", [
+    "fibonacci", "thue-morse", "periodic:a", "periodic:aab", "holub:n=2,3",
+    "morphic:a=ab,b=c,c=a;seed=a",
+])
+def test_least_factor_narrowing_matches_the_least_window(descriptor):
+    source = parse_descriptor(descriptor)
+    for horizon in (1, 2, 7, 100, 1_000):
+        text = source.prefix(horizon)
+        for m in range(1, min(horizon, 12) + 1):
+            windows = dict.fromkeys(text[t:t + m] for t in range(len(text) - m + 1))
+            want = min(windows, key=source.alphabet.sort_key)
+            assert checks._least_factor(source, m, horizon) == want, (horizon, m)
 
 
 def test_return_gain_auto_level():

@@ -1201,7 +1201,9 @@ _EXPONENT_LISTS = st.lists(EXPONENTS, min_size=1, max_size=4)
 _HOLUB_BODIES = st.fixed_dictionaries(
     {"n": _mostly(_EXPONENT_LISTS.map(sorted), _EXPONENT_LISTS).map(
         lambda ns: ",".join(map(str, ns)))},
-    optional={"tail": _either("repeat", "step", "loop") | EXPONENTS.map(lambda k: f"step:{k}"),
+    # mostly repeat or step:K, else a bare step (it names no K), an unknown rule or any JSON value
+    optional={"tail": _mostly(st.just("repeat") | EXPONENTS.map(lambda k: f"step:{k}"),
+                              st.sampled_from(["step", "loop"]) | JSON_VALUES),
               "strict": st.sampled_from(["0", "1"])},
 ).map(_kv)
 _RULES = _mostly(

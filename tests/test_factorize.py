@@ -178,6 +178,18 @@ def test_return_factorization_overlap_rejected():
     assert fact.returns[0] == "a"
 
 
+def test_return_factorization_names_the_first_block_shorter_than_its_marker():
+    # aba occurs at 0, 3 and 5 of abaababaab...: block 2 spans 3..5 and is
+    # shorter than aba, so the next occurrence overlaps it
+    with pytest.raises(ValueError) as exc:
+        return_factorization(FIB, "aba", 100, assert_block_prefix=True)
+    assert str(exc.value) == ("marker occurrences overlap: block 2 ('ab') "
+                              "does not start with 'aba'")
+    # every block at least as long as its marker starts with it
+    fact = return_factorization(FIB, "aab", 100, assert_block_prefix=True)
+    assert all(w.startswith("aab") for w in fact.returns)
+
+
 def test_h_floor():
     fact = return_factorization(FIB, "aa", 10_000, exponent=2)
     assert h_floor(fact, 8) == Fraction(5, 3)

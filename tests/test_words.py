@@ -8,6 +8,7 @@ import tracemalloc
 from itertools import product
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import periwords
@@ -561,6 +562,8 @@ def test_descriptor_equivalences():
         ("holub:n=2_0", "bad exponent list"),
         ("toeplitz:n=2;stage=+1", "bad stage"),
         ("holub:n=2;tail=step:", "bad step"),
+        # a bare step tail names no step: it is not read as step:1
+        ("holub:n=2;tail=step", "bad step"),
     ],
 )
 def test_descriptor_errors(bad, hint):
@@ -605,3 +608,36 @@ def test_concurrent_readers_get_the_letters_they_ask_for():
     finally:
         sys.setswitchinterval(interval)
     assert short == []
+
+
+def test_concurrent_prefix_and_ranks_readers_agree_on_the_letters():
+    # several readers ask one fresh source for prefixes and ranks of
+    # interleaved lengths while it grows; each answer has the length asked
+    # for, and the ranks encode the letters of the prefix of that length
+    lengths = [2 ** k + d for k in range(3, 15) for d in (-1, 0, 3)]
+    wrong = []
+
+    def read(src, order):
+        for n in order:
+            letters, ranks = src.prefix(n), src.ranks(n)
+            if len(letters) != n or len(ranks) != n:
+                wrong.append((n, len(letters), len(ranks)))
+            elif not np.array_equal(encode(letters, src.alphabet), ranks):
+                wrong.append((n, "ranks"))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            src = fibonacci_source()
+            # every third length, rising in three threads and falling in three
+            orders = [lengths[t % 3::3][::(-1) ** t] for t in range(6)]
+            threads = [threading.Thread(target=read, args=(src, order)) for order in orders]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == []
