@@ -33,6 +33,7 @@ from .errors import InsufficientWindowError
 from .factorize import (
     ReturnFactorization,
     _dyadic_length,
+    _quote,
     alpha_chain,
     dyadic_factorization,
     occurrences,
@@ -55,14 +56,13 @@ from .words import (
     HOLE,
     HolubParams,
     WordSource,
-    anchor_length,
+    _check_size,
     holub_letter,
     holub_letters,
     holub_toeplitz,
     holub_u,
     holub_word,
     parse_descriptor,
-    predicted_peak_period,
     predicted_witness,
     random_binary_words,
 )
@@ -201,18 +201,27 @@ def _frac(x: Fraction) -> str:
 # peak local periods of the parametrized family
 
 
-def _peak_cap(params: HolubParams, j: int, cap: int | None) -> int:
-    # the scan cap at anchor j: the given one, or one above the predicted peak
-    return cap if cap is not None else predicted_peak_period(params, j) + 1
+def _anchors(params: HolubParams, depth: int, cap: int | None) -> list[tuple[int, int, int, int]]:
+    # for each level j up to depth: j, the anchor d_j, the predicted peak at
+    # it and the scan cap, the given one or one above the peak. The levels
+    # are walked once with a running block length, and a depth is refused
+    # before any scan at the first level whose scan reads d_j + cap letters
+    # past MAX_PREFIX; d_j and the caps only grow with j
+    levels, d, block = [], 1, 1
+    for j in range(1, depth + 1):
+        peak = (params.n(j) + 1) * block
+        use_cap = peak + 1 if cap is None else cap
+        _check_size(d + use_cap, f"depth {depth} is out of reach: the scan at level {j}")
+        levels.append((j, d, peak, use_cap))
+        block *= params.m(j)
+        d += block
+    return levels
 
 
 def _anchor_scans(params: HolubParams, source: WordSource, depth: int, cap: int | None = None):
-    # for each level j up to depth: j, the anchor d_j, the predicted peak at
-    # it, the scan cap in use and the scan of source at d_j under that cap
-    for j in range(1, depth + 1):
-        d = anchor_length(params, j)
-        use_cap = _peak_cap(params, j, cap)
-        yield j, d, predicted_peak_period(params, j), use_cap, local_period_infinite(source, d, use_cap)
+    # each level of _anchors with the scan of source at d_j under its cap
+    for j, d, peak, use_cap in _anchors(params, depth, cap):
+        yield j, d, peak, use_cap, local_period_infinite(source, d, use_cap)
 
 
 @_claim("big")
@@ -263,8 +272,8 @@ def check_peak_witness(params: HolubParams, depth: int = 3) -> VerificationRepor
     """
     source = holub_word(params)
     report = VerificationReport()
-    # each anchor is scanned before its witness is built: the size check on
-    # the scan's prefix also bounds the witness
+    # _anchors refuses a depth whose scans would pass MAX_PREFIX before any
+    # witness is built, and a scan's prefix is longer than its witness
     for j, d, expected_len, cap, got in _anchor_scans(params, source, depth):
         report.instances += 1
         try:
@@ -407,6 +416,20 @@ def check_toeplitz_stages(
     return report
 
 
+def _least_row(ranks: np.ndarray, start: np.ndarray, length: np.ndarray, rows: np.ndarray) -> int:
+    # the row r among rows whose factor ranks[start[r]:start[r] + length[r]]
+    # is least in the alphabet's order, the first on ties: rows are narrowed,
+    # one letter column at a time, to those with the least letter there, and
+    # a row that ends at a column is a prefix of every row left, so least
+    for c in range(int(length.max())):
+        ended = length[rows] == c
+        if rows.size == 1 or ended.any():
+            return int(rows[ended.argmax()])
+        column = ranks[start[rows] + c]
+        rows = rows[column == column.min()]
+    return int(rows[0])
+
+
 @_claim("return-time-bound")
 def check_return_time_bound(
     params: HolubParams,
@@ -422,33 +445,26 @@ def check_return_time_bound(
         bound = len(u) + 1
         hz = horizon if horizon is not None else max(256, 24 * bound)
         cut = len(u) if max_factor_len is None else min(max_factor_len, len(u))
-        # each distinct factor of u of length <= cut, with its occurrence
-        # count and largest gap in the window
-        factors = {}
-        if cut:
-            columns = kernels.active.factor_return_times(
-                source.alphabet.encode(u), source.ranks(hz), cut).T.tolist()
-            factors = {u[a:a + L]: (c, g) for L, a, c, g in zip(*columns)}
-        worst = 0
-        for z in sorted(factors):
-            count, gap = factors[z]
-            if count < 2:
-                raise InsufficientWindowError(
-                    f"factor {z!r} has {count} occurrence(s) in horizon {hz}"
-                )
-            worst = max(worst, gap)
-            report.instances += 1
-            if gap > bound:
-                report.fail({
-                    "op": "occurrences",
-                    "word": source.descriptor,
-                    "factor": z,
-                    "max_gap": gap,
-                    "bound": bound,
-                    "horizon": hz,
-                })
+        # one row (L, a, count, gap) per distinct factor u[a:a+L], L <= cut
+        # (no row, and no window read, when cut is 0); a message names the
+        # least factor among its failing rows
+        ranks = source.alphabet.encode(u)
+        L, a, count, gap = kernels.active.factor_return_times(
+            ranks, source.ranks(hz if cut else 0), cut).T
+        rare = np.flatnonzero(count < 2)
+        if rare.size:
+            t = _least_row(ranks, a, L, rare)
+            raise InsufficientWindowError(
+                f"factor {_quote(u[a[t]:a[t] + L[t]])} has {count[t]} occurrence(s) in horizon {hz}"
+            )
+        over = np.flatnonzero(gap > bound)
+        if over.size:
+            t = _least_row(ranks, a, L, over)
+            report.fail({"op": "occurrences", "word": source.descriptor, "factor": u[a[t]:a[t] + L[t]],
+                         "max_gap": int(gap[t]), "bound": bound, "horizon": hz})
+        report.instances += L.size
         report.details.append(
-            {"i": i, "factors": len(factors), "bound": bound, "max_gap_seen": worst}
+            {"i": i, "factors": L.size, "bound": bound, "max_gap_seen": int(gap.max(initial=0))}
         )
     return report
 
@@ -458,17 +474,9 @@ def check_return_time_bound(
 
 
 def _least_factor(source: WordSource, m: int, horizon: int) -> str:
-    # the least factor of length m in the window, in the alphabet's order:
-    # the start offsets narrowed, one letter column at a time, to those with
-    # the least letter in that column
-    ranks = source.ranks(horizon)
-    start = np.arange(ranks.size - m + 1)
-    for c in range(m):
-        if start.size == 1:
-            break
-        column = ranks[start + c]
-        start = start[column == column.min()]
-    t = int(start[0])
+    # the least factor of length m in the window, in the alphabet's order
+    start = np.arange(horizon - m + 1)
+    t = _least_row(source.ranks(horizon), start, np.broadcast_to(m, start.shape), start)
     return source.prefix(horizon)[t:t + m]
 
 
@@ -981,13 +989,14 @@ def check_peak_average(params: HolubParams, depth: int = 3, cap: int | None = No
     Computed with exact rationals from the actual profile, so an anchor where
     the two sides coincide is reported as the counterexample it is.
     """
+    if depth < 1:
+        raise ValueError("levels are 1-based")
     source = holub_word(params)
-    top = anchor_length(params, depth)
-    use_cap = _peak_cap(params, depth, cap)
+    levels = _anchors(params, depth, cap)
+    _, top, _, use_cap = levels[-1]
     prof = profile(source, n=top, cap=use_cap)
     report = VerificationReport(params={"cap": use_cap})
-    for j in range(1, depth + 1):
-        d = anchor_length(params, j)
+    for j, d, _, _ in levels:
         h = prof.h_at(d)
         p = prof.local_periods[d - 1]
         report.instances += 1

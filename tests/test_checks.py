@@ -42,14 +42,18 @@ from periwords.errors import InsufficientWindowError
 from periwords.factorize import ReturnFactorization, occurrences, return_factorization
 from periwords.periods import period, profile
 from periwords.words import (
+    MAX_PREFIX,
+    Alphabet,
     HolubParams,
     PeriodicSource,
     WordSource,
+    anchor_length,
     fibonacci_source,
     holub_letter,
     holub_u,
     holub_word,
     parse_descriptor,
+    predicted_peak_period,
     thue_morse_source,
 )
 
@@ -174,6 +178,45 @@ def test_peak_average_reports_the_level_one_equality():
     assert rep.counterexample["h"] == rep.counterexample["bound"] == "3/1"
     strict = {d["j"]: d["strict"] for d in rep.details}
     assert strict == {1: False, 2: True, 3: True}
+
+
+@pytest.mark.parametrize("params", [
+    HolubParams((2, 2)), HolubParams((2, 3, 4)), HolubParams((3, 3, 3)), HolubParams((2, 5)),
+    HolubParams((2,), "step", 1),
+], ids=lambda p: p.descriptor_body())
+def test_anchor_levels_match_the_closed_forms(params):
+    levels = checks._anchors(params, 8, None)
+    assert levels == [(j, anchor_length(params, j), predicted_peak_period(params, j),
+                       predicted_peak_period(params, j) + 1) for j in range(1, 9)]
+    assert [cap for *_, cap in checks._anchors(params, 8, 7)] == [7] * 8
+
+
+def _no_scan(*args):
+    raise AssertionError("scanned a level of an unreachable depth")
+
+
+@pytest.mark.parametrize("checker", [check_peak_periods, check_peak_witness],
+                         ids=["big", "peak-witness"])
+def test_anchor_claims_refuse_an_unreachable_depth_before_scanning(checker, monkeypatch):
+    # level 13 of holub:n=2,2 reads d_13 + 3 * 4^12 + 1 letters, past the limit
+    monkeypatch.setattr(checks, "local_period_infinite", _no_scan)
+    with pytest.raises(ValueError) as exc:
+        checker(P22, depth=13)
+    assert str(exc.value) == ("depth 13 is out of reach: the scan at level 13 needs 72701270 "
+                              f"letters, over the limit of {MAX_PREFIX}")
+    assert anchor_length(P22, 13) + predicted_peak_period(P22, 13) + 1 == 72701270
+
+
+def test_peak_average_refuses_a_deep_level_in_a_short_message(monkeypatch):
+    # the first level past the limit is named, not the letters of depth 3000
+    monkeypatch.setattr(checks, "profile", _no_scan)
+    with pytest.raises(ValueError,
+                       match="^depth 3000 is out of reach: the scan at level 13 needs") as exc:
+        check_peak_average(P22, depth=3000)
+    assert len(str(exc.value)) < 200
+    with pytest.raises(ValueError, match="^depth 4 is out of reach: the scan at level 1 needs "
+                                         f"{MAX_PREFIX + 1} letters"):
+        check_peak_average(P22, depth=4, cap=MAX_PREFIX)
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +417,71 @@ def test_return_time_bound_names_a_factor_the_window_never_shows(monkeypatch):
     with pytest.raises(InsufficientWindowError) as exc:
         check_return_time_bound(P22, depth=2)
     assert str(exc.value) == "factor 'aa' has 0 occurrence(s) in horizon 384"
+
+
+@pytest.mark.parametrize("pattern, least", [("a", "ab"), ("ababb", "abb")])
+def test_return_time_bound_names_the_least_failing_factor_not_the_shortest(
+        pattern, least, monkeypatch):
+    # u_1 = abb: a^k lacks ab, abb, b and bb, and (ababb)^k spaces abb and bb
+    # 5 > 4 letters apart; the least of them is not the shortest
+    source = PeriodicSource(pattern)
+    monkeypatch.setattr(checks, "holub_word", lambda params: source)
+    stats = _loop_return_time_stats("abb", source, 256, 3)
+    failing = sorted(z for z, (count, gap) in stats.items() if count < 2 or gap > 4)
+    assert failing[0] == least and len(min(failing, key=len)) < len(least)
+    count, gap = stats[least]
+    if count < 2:
+        with pytest.raises(InsufficientWindowError) as exc:
+            check_return_time_bound(P22, depth=1)
+        assert str(exc.value) == f"factor {least!r} has {count} occurrence(s) in horizon 256"
+    else:
+        assert check_return_time_bound(P22, depth=1).counterexample == {
+            "op": "occurrences", "word": source.descriptor, "factor": least, "max_gap": gap,
+            "bound": 4, "horizon": 256}
+
+
+def _sliced_rows(data, letters):
+    # a rank array over the letters and (start, length) rows of it: drawn
+    # rows, proper prefixes of them, repeated rows and the same factors at
+    # other starts of a periodic stretch
+    period = data.draw(st.integers(1, 6))
+    n = data.draw(st.integers(1, 40))
+    base = data.draw(st.lists(st.integers(0, len(letters) - 1), min_size=period, max_size=period))
+    ranks = np.array([base[t % period] for t in range(n)], np.uint8)
+    for t in data.draw(st.lists(st.integers(0, n - 1), max_size=3)):
+        ranks[t] = data.draw(st.integers(0, len(letters) - 1))
+    row = st.integers(0, n - 1).flatmap(lambda a: st.tuples(st.just(a), st.integers(0, n - a)))
+    rows = data.draw(st.lists(row, min_size=1, max_size=12))
+    for a, length in list(rows):
+        rows.insert(data.draw(st.integers(0, len(rows))), data.draw(st.sampled_from([
+            (a, length), (a, data.draw(st.integers(0, length))),
+            ((a + period) % n, min(length, n - (a + period) % n))])))
+    return ranks, rows
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(["ab", "abc"]), st.data())
+def test_least_row_is_the_first_least_sliced_word(letters, data):
+    ranks, rows = _sliced_rows(data, letters)
+    among = sorted(data.draw(st.sets(st.integers(0, len(rows) - 1), min_size=1)))
+    alphabet = Alphabet(letters)
+    words = ["".join(letters[r] for r in ranks[a:a + length]) for a, length in rows]
+    start, length = (np.array(column, np.int64) for column in zip(*rows))
+    want = min(among, key=lambda r: alphabet.sort_key(words[r]))
+    assert checks._least_row(ranks, start, length, np.array(among)) == want
+
+
+def test_return_time_bound_memory_peak_stays_under_3_mb():
+    # depth 4 names 21,845 factors of u_1..u_4; a string per factor would
+    # hold them all at once (5.5 MB)
+    check_return_time_bound(P22, depth=4)
+    tracemalloc.start()
+    try:
+        check_return_time_bound(P22, depth=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_000_000
 
 
 # ---------------------------------------------------------------------------

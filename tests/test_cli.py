@@ -34,7 +34,12 @@ from periwords.cli import (
     run,
     run_batch,
 )
-from periwords.factorize import alpha_chain, dyadic_factorization, return_factorization
+from periwords.factorize import (
+    alpha_chain,
+    dyadic_factorization,
+    occurrences,
+    return_factorization,
+)
 from periwords.periods import PeriodProfile, RepetitionWitness, h_of, profile
 from periwords.words import MAX_PREFIX, HolubParams, WordSource, parse_descriptor
 
@@ -138,6 +143,17 @@ def test_a_window_error_names_a_long_chain_power_by_its_length(capsys):
     assert capsys.readouterr() == (
         "", "window error: 'abababababababababababababababab'... (20000 letters) occurs 1 time(s) "
             "in a window of 20000; need >= 2\n")
+
+
+def test_a_return_time_window_error_quotes_a_long_factor_by_its_length(capsys):
+    # the least factor of u_5 that a window of 1100 letters shows only once
+    z = "aabbaabbbabbbabbaabbaabbbabbbabbbabbaabbbabbbabbbabbaabbbabbbabbaabbaabbbabbba"
+    assert len(z) == 78 and len(occurrences(z, parse_descriptor(HOLUB), 1100)) == 1
+    argv = ["verify", "--claim", "return-time-bound", "--word", HOLUB, "--depth", "5",
+            "--horizon", "1100"]
+    assert main(argv) == 1
+    assert capsys.readouterr() == (
+        "", f"window error: factor {z[:32]!r}... (78 letters) has 1 occurrence(s) in horizon 1100\n")
 
 
 def test_parameter_error_exits_one(capsys):
