@@ -17,10 +17,11 @@ against the loops they replaced: local_periods_stream, whose overhang phase
 is one bytes.find per distinct answer; oracle_sweep and cft_sweep with the
 helpers the sweeps use (word_matrix, local_period_matrix, period_column,
 oracle_period_matrix, first_failure); the search kernels occurrence_list and
-max_run_exponent; max_power, which reads the hits of occurrence_list; and
-factor_return_times, which names every factor of a word at once for
-checks.check_return_time_bound and is checked against one occurrence_list
-call per factor.
+max_run_exponent; max_power, which longest_power reads off the hits of
+occurrence_list; narrow and longest_power, which the minimal-return chain
+walk in factorize also reads; and factor_return_times, which names every
+factor of a word at once for checks.check_return_time_bound and is checked
+against one occurrence_list call per factor.
 local_period_matrix applies the window rule stated in periods, one shift at
 a time for every row and position; it also serves the library:
 periods.factor_local_periods scans the factors of each length of a letter
@@ -354,15 +355,20 @@ def cft_sweep(maxlen, nletters):
 
 def occurrence_list(z, s):
     # all 0-based offsets where z occurs in s, in increasing order: the
-    # offsets of z's first letter, narrowed by the next columns of z, as
-    # many columns at a time as fit a block of _BLOCK elements. A hole rank
-    # matches only a hole rank.
+    # offsets of z's first letter, narrowed by the rest of z
     m = z.shape[0]
     n = s.shape[0]
     if m == 0 or m > n:
         return np.empty(0, np.int64)
-    cand = np.flatnonzero(s[:n - m + 1] == z[0])
-    t = 1
+    return narrow(np.flatnonzero(s[:n - m + 1] == z[0]), z, s, 1)
+
+
+def narrow(cand, z, s, t):
+    # the offsets among cand where z occurs in s, given increasing offsets at
+    # most len(s) - len(z) that z[:t] already matches: cand narrowed by the
+    # next columns of z, as many columns at a time as fit a block of _BLOCK
+    # elements. A hole rank matches only a hole rank.
+    m = z.shape[0]
     while t < m and cand.size:
         w = min(m - t, max(1, _BLOCK // cand.size))
         cand = cand[(s[cand[:, None] + np.arange(t, t + w)] == z[t:t + w]).all(1)]
@@ -417,20 +423,30 @@ def factor_return_times(u, s, cut):
     return np.concatenate(rows)
 
 
-def max_power(v, s):
-    # largest e with v repeated e times in a row somewhere in s (0 if absent):
-    # the longest chain of occurrences spaced |v| apart. Row r, column c of
-    # the grid is offset r*|v| + c, so each chain runs down one column.
-    m = v.shape[0]
-    n = s.shape[0]
-    if m == 0 or m > n:
-        return 0
-    rows = (n - m) // m + 1
+def longest_power(hits, m, n):
+    # the largest e with v^e in s, and the offsets of v^e in increasing
+    # order, from the offsets hits of v in s (m = |v| >= 1, n = |s|): v^e
+    # occurs where a run of e hits spaced m apart starts, so only at the
+    # first offset of a longest run. Row r, column c of the grid is offset
+    # r*m + c, so each run goes down one column.
+    rows = n // m
     grid = np.zeros((rows + 1, m), bool)  # the last row stays False
-    grid.flat[occurrence_list(v, s)] = True
-    # the columns end to end: runs of True are the chains
-    edges = np.flatnonzero(np.diff(grid.T.ravel(), prepend=False))
-    return int((edges[1::2] - edges[::2]).max(initial=0))
+    grid.flat[hits] = True
+    # the columns end to end, one pass over the gaps between runs of True
+    cols = grid.T.ravel()
+    edges = np.flatnonzero(np.diff(cols, prepend=False))
+    run = edges[1::2] - edges[::2]
+    e = int(run.max(initial=0))
+    # the first offset of each longest run, read back in the grid's order;
+    # numpy's sort would map more of its code into the process than this
+    cols[:] = False
+    cols[edges[::2][run == e]] = True
+    return e, np.flatnonzero(cols.reshape(m, rows + 1).T)
+
+
+def max_power(v, s):
+    # largest e with v repeated e times in a row somewhere in s (0 if absent)
+    return longest_power(occurrence_list(v, s), v.shape[0], s.shape[0])[0] if v.shape[0] else 0
 
 
 def max_run_exponent(s, p_max):

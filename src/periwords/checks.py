@@ -32,14 +32,14 @@ from . import kernels
 from .errors import InsufficientWindowError
 from .factorize import (
     ReturnFactorization,
+    _chain_walk,
     _dyadic_length,
+    _least_row,
     _quote,
-    alpha_chain,
     dyadic_factorization,
     occurrences,
     repetition_exponent_estimate,
     return_factorization,
-    return_words,
 )
 from .periods import (
     CapExceeded,
@@ -416,20 +416,6 @@ def check_toeplitz_stages(
     return report
 
 
-def _least_row(ranks: np.ndarray, start: np.ndarray, length: np.ndarray, rows: np.ndarray) -> int:
-    # the row r among rows whose factor ranks[start[r]:start[r] + length[r]]
-    # is least in the alphabet's order, the first on ties: rows are narrowed,
-    # one letter column at a time, to those with the least letter there, and
-    # a row that ends at a column is a prefix of every row left, so least
-    for c in range(int(length.max())):
-        ended = length[rows] == c
-        if rows.size == 1 or ended.any():
-            return int(rows[ended.argmax()])
-        column = ranks[start[rows] + c]
-        rows = rows[column == column.min()]
-    return int(rows[0])
-
-
 @_claim("return-time-bound")
 def check_return_time_bound(
     params: HolubParams,
@@ -494,27 +480,21 @@ def check_lexmin_return_words(
     the power is a prefix of each return word, and the previous power prefixes
     alpha_k.
     """
-    chain = alpha_chain(source, depth, horizon, repetition_bound)
+    levels = list(_chain_walk(source, depth, horizon, repetition_bound))
     report = VerificationReport(status=WINDOWED)
     alphabet = source.alphabet
-    for k in range(1, depth + 1):
-        entry = chain.level(k)
-        a, e = entry.alpha, entry.exponent
+    prev = ""
+    for k, (a, e, markers) in enumerate(levels, 1):
         z = a * e
-        row = {"k": k, "alpha": a, "exponent": e}
         lexmin = _least_factor(source, len(a), horizon)
-        rws, _ = return_words(z, source, horizon)
+        rws = sorted(set(return_factorization(source, z, horizon, occ=markers.tolist()).returns))
         not_lyndon = [w for w in rws if not is_lyndon(w, alphabet)]
         bordered = [w for w in rws if not is_unbordered(w)]
         no_prefix = [w for w in rws if not w.startswith(z)]
-        nest_ok = k == 1 or a.startswith(chain.power(k - 1))
-        row.update(
-            {
-                "lexmin_factor": lexmin,
-                "return_words": len(rws),
-                "lyndon_violations": len(not_lyndon),
-            }
-        )
+        nest_ok = a.startswith(prev)
+        prev = z
+        row = {"k": k, "alpha": a, "exponent": e, "lexmin_factor": lexmin,
+               "return_words": len(rws), "lyndon_violations": len(not_lyndon)}
         report.instances += len(rws) + 1
         if lexmin != a or not_lyndon or bordered or no_prefix or not nest_ok:
             report.fail({
@@ -644,13 +624,21 @@ def build_gain_pair(
     A given kprime is the only level tried, and it is returned whether or
     not its blocks are long enough; the step's report says which.
     """
-    chain = alpha_chain(source, max_depth if kprime is None else kprime, horizon,
-                        repetition_bound)
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if kprime is not None and 0 < kprime <= k:
+        raise ValueError(f"k must be below kprime, got k={k}, kprime={kprime}")
+    levels = list(_chain_walk(source, max_depth if kprime is None else kprime, horizon,
+                              repetition_bound))
+    if k > len(levels):
+        raise ValueError(f"level {k} outside 1..{len(levels)}")
 
     def cut(level: int) -> ReturnFactorization:
-        # the window cut at the level's chain power alpha^e
-        return return_factorization(source, chain.power(level), horizon,
-                                    exponent=chain.level(level).exponent, assert_block_prefix=True)
+        # the window cut at the level's chain power alpha^e, at the offsets
+        # the walk found
+        alpha, e, markers = levels[level - 1]
+        return return_factorization(source, alpha * e, horizon, e, assert_block_prefix=True,
+                                    occ=markers.tolist())
 
     fact_lo = cut(k)
     for kp in range(k + 1, max_depth + 1) if kprime is None else (kprime,):

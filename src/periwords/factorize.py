@@ -101,6 +101,57 @@ class AlphaChain:
         return asdict(self)
 
 
+def _least_row(ranks: np.ndarray, start: np.ndarray, length: np.ndarray, rows: np.ndarray) -> int:
+    # the row r among rows whose factor ranks[start[r]:start[r] + length[r]]
+    # is least in the alphabet's order, the first on ties: rows are narrowed,
+    # one letter column at a time, to those with the least letter there, and
+    # a row that ends at a column is a prefix of every row left, so least
+    for c in range(int(length.max())):
+        ended = length[rows] == c
+        if rows.size == 1 or ended.any():
+            return int(rows[ended.argmax()])
+        column = ranks[start[rows] + c]
+        rows = rows[column == column.min()]
+    return int(rows[0])
+
+
+def _chain_walk(source: WordSource, depth: int, horizon: int, repetition_bound: int | None):
+    # (alpha_k, e_k, the offsets of alpha_k^e_k in the window) for k = 1..depth,
+    # each level's exponent and markers read off the occurrences of alpha_k.
+    # No two occurrences of alpha_k lie closer than |alpha_k|, so the markers
+    # do not overlap either: two closer ones would make a longer power, or two
+    # closer occurrences of alpha_k. So every block between two markers starts
+    # with the marker, and so does alpha_{k+1}, the least block: its
+    # occurrences are the markers its remaining letters narrow. Nor do two of
+    # them lie closer: the block at the first would be a proper prefix of
+    # alpha_{k+1}, hence less than it. Level 1, a letter, starts this.
+    source.refuse_holes("build an alpha chain on")
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    ranks = source.ranks(horizon)
+    n = ranks.size
+    alpha, occ = source.alphabet.least, np.flatnonzero(ranks == 0)
+    for k in range(1, depth + 1):
+        e, markers = kernels.active.longest_power(occ, len(alpha), n)
+        if e == 0:
+            raise InsufficientWindowError(
+                f"level-{k} word {_quote(alpha)} does not occur within horizon {horizon}"
+            )
+        if repetition_bound is not None and e > repetition_bound:
+            raise ValueError(
+                f"windowed exponent {e} exceeds the vouched bound {repetition_bound}"
+            )
+        yield alpha, e, markers
+        if k == depth:
+            return
+        z = alpha * e
+        _need_two(z, markers.size, horizon)
+        t = _least_row(ranks, markers, np.diff(markers), np.arange(markers.size - 1))
+        a, b = markers[t:t + 2].tolist()
+        alpha = source.prefix(horizon)[a:b]
+        occ = kernels.active.narrow(markers[markers <= n - b + a], ranks[a:b], ranks, len(z))
+
+
 def alpha_chain(
     source: WordSource,
     depth: int,
@@ -113,26 +164,9 @@ def alpha_chain(
     word), the windowed exponents are treated as exact; a windowed exponent
     above the bound is a contradiction and raises.
     """
-    source.refuse_holes("build an alpha chain on")
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    entries = []
-    alpha = source.alphabet.least
-    for k in range(1, depth + 1):
-        e = max_exponent(alpha, source, horizon)
-        if e == 0:
-            raise InsufficientWindowError(
-                f"level-{k} word {_quote(alpha)} does not occur within horizon {horizon}"
-            )
-        if repetition_bound is not None and e > repetition_bound:
-            raise ValueError(
-                f"windowed exponent {e} exceeds the vouched bound {repetition_bound}"
-            )
-        entries.append(AlphaChainEntry(alpha, e, horizon))
-        if k < depth:
-            rws, _ = return_words(alpha * e, source, horizon)
-            alpha = min(rws, key=source.alphabet.sort_key)
-    return AlphaChain(tuple(entries), source.alphabet.letters, repetition_bound is not None)
+    walk = _chain_walk(source, depth, horizon, repetition_bound)
+    return AlphaChain(tuple(AlphaChainEntry(alpha, e, horizon) for alpha, e, _ in walk),
+                      source.alphabet.letters, repetition_bound is not None)
 
 
 @dataclass
@@ -174,24 +208,32 @@ class ReturnFactorization:
         }
 
 
+def _need_two(z: str, count: int, horizon: int) -> None:
+    if count < 2:
+        raise InsufficientWindowError(
+            f"{_quote(z)} occurs {count} time(s) in a window of {horizon}; need >= 2"
+        )
+
+
 def return_factorization(
     source: WordSource,
     z: str,
     horizon: int,
     exponent: int | None = None,
     assert_block_prefix: bool = False,
+    occ: list[int] | None = None,
 ) -> ReturnFactorization:
     """Cut the window at every occurrence of z.
 
     assert_block_prefix enforces the chain-marker discipline: occurrences
     may not overlap, equivalently z is a prefix of every return word. Use
     it when z is a chain power alpha^e; leave it off for arbitrary z.
+    occ, when given, holds every offset of z in the window in increasing
+    order (the markers the chain walk found), and z is not searched for.
     """
-    occ = occurrences(z, source, horizon)
-    if len(occ) < 2:
-        raise InsufficientWindowError(
-            f"{_quote(z)} occurs {len(occ)} time(s) in a window of {horizon}; need >= 2"
-        )
+    if occ is None:
+        occ = occurrences(z, source, horizon)
+    _need_two(z, len(occ), horizon)
     text = source.prefix(horizon)
     preamble = text[: occ[0]]
     returns = [text[a:b] for a, b in zip(occ, occ[1:])]

@@ -500,6 +500,16 @@ def test_lexmin_return_words_thue_morse():
     assert rep.status == WINDOWED
 
 
+def test_min_return_chain_fails_a_level_that_does_not_start_with_the_previous_power(monkeypatch):
+    # every chain the walk builds nests, so the nesting check needs a walk
+    # that yields ab after the level-1 power aa
+    levels = [(a, e, np.array(occurrences(a * e, FIB, 1000))) for a, e in (("a", 2), ("ab", 1))]
+    monkeypatch.setattr(checks, "_chain_walk", lambda *_: iter(levels))
+    rep = check_lexmin_return_words(FIB, depth=2, horizon=1000)
+    assert rep.status == FAIL
+    assert rep.counterexample["k"] == 2 and rep.counterexample["nested"] is False
+
+
 @pytest.mark.parametrize("descriptor", [
     "fibonacci", "thue-morse", "periodic:a", "periodic:aab", "holub:n=2,3",
     "morphic:a=ab,b=c,c=a;seed=a",

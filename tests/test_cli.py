@@ -191,6 +191,22 @@ def test_dyadic_gain_refuses_k_not_below_kprime_by_name(k, kprime, bound, capsys
     assert (out, err) == ("", f"parameter error: k must be below kprime, got k={k}, kprime={kprime}\n")
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--k", "0"], "k must be >= 1, got 0"),
+    (["--k", "1", "--kprime", "1"], "k must be below kprime, got k=1, kprime=1"),
+    (["--k", "2", "--kprime", "1"], "k must be below kprime, got k=2, kprime=1"),
+], ids=["k-zero", "same-level", "k-above-kprime"])
+def test_return_gain_refuses_a_bad_k_or_kprime_by_name(args, message, monkeypatch, capsys):
+    # refused before any chain is built: a level compared with itself once
+    # exited 3, and k=0 or k > kprime named only a level outside the chain
+    def no_walk(*_):
+        raise AssertionError("a chain was built")
+
+    monkeypatch.setattr(checks, "_chain_walk", no_walk)
+    assert main(["verify", "--word", "fibonacci", "--claim", "return-gain", *args]) == 1
+    assert capsys.readouterr() == ("", f"parameter error: {message}\n")
+
+
 @pytest.mark.parametrize("args", [
     ["verify", "--claim", "big", "--word", "holub:n=99999999999;tail=repeat", "--J", "1"],
     ["generate", "--word", "toeplitz:n=99999999999;tail=repeat;stage=1", "--n", "9"],

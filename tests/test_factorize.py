@@ -1,11 +1,20 @@
 """Return-word machinery, the minimal chain, and power-of-two tilings."""
 
 from fractions import Fraction
+from itertools import product
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from periwords import checks, factorize, kernels
 from periwords.errors import InsufficientWindowError
 from periwords.factorize import (
+    AlphaChain,
+    AlphaChainEntry,
+    _chain_walk,
+    _quote,
     alpha_chain,
     b_floor,
     dyadic_factorization,
@@ -18,10 +27,12 @@ from periwords.factorize import (
 )
 from periwords.periods import h_of, is_lyndon
 from periwords.words import (
+    Alphabet,
     HolubParams,
     PeriodicSource,
     fibonacci_source,
     holub_word,
+    parse_descriptor,
     thue_morse_source,
 )
 
@@ -125,6 +136,120 @@ def test_alpha_chain_thue_morse():
     chain = alpha_chain(TM, 2, 10_000, repetition_bound=2)
     assert chain.level(1).alpha == "a" and chain.level(1).exponent == 2
     assert chain.level(2).alpha.startswith("aa")
+
+
+def _loop_walk(source, depth, horizon, repetition_bound=None):
+    # the chain as it was built before the walk, level by level: e_k from
+    # max_exponent, the next level the least of return_words in the
+    # alphabet's order, and the markers one search for the power
+    source.refuse_holes("build an alpha chain on")
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    alpha = source.alphabet.least
+    for k in range(1, depth + 1):
+        e = max_exponent(alpha, source, horizon)
+        if e == 0:
+            raise InsufficientWindowError(
+                f"level-{k} word {_quote(alpha)} does not occur within horizon {horizon}")
+        if repetition_bound is not None and e > repetition_bound:
+            raise ValueError(f"windowed exponent {e} exceeds the vouched bound {repetition_bound}")
+        yield alpha, e, np.array(occurrences(alpha * e, source, horizon), np.int64)
+        if k < depth:
+            rws, _ = return_words(alpha * e, source, horizon)
+            alpha = min(rws, key=source.alphabet.sort_key)
+
+
+def _levels(walk):
+    # the (alpha, e, markers) levels a walk yields, then the type and message
+    # of what it raises (None when it ends)
+    levels = []
+    try:
+        for a, e, markers in walk:
+            levels.append((a, e, markers.tolist()))
+    except (ValueError, InsufficientWindowError) as exc:
+        return levels, (type(exc), str(exc))
+    return levels, None
+
+
+CHAIN_WORDS = [
+    "fibonacci", "thue-morse", "holub:n=2,2;tail=repeat", "holub:n=2,3",
+    "holub-formula:n=2,2,6;tail=repeat", "morphic:a=abc,b=ac,c=b;seed=a",
+    "morphic:a=ab,b=c,c=a;seed=a", "morphic:a=aab,b=a;seed=a", "periodic:ab", "periodic:aab",
+    "periodic:abaab", "periodic:a",
+]
+
+
+@pytest.mark.parametrize("descriptor", CHAIN_WORDS)
+def test_alpha_chain_walk_matches_the_loop(descriptor):
+    # the loop's outcome at each depth is its walk's first `depth` levels, or
+    # what the walk raised before yielding them
+    source = parse_descriptor(descriptor)
+    for horizon, bound in product((0, 1, 2, 5, 37, 1000, 20_000), (None, 2, 3)):
+        levels, error = _levels(_loop_walk(source, 8, horizon, bound))
+        for depth in range(1, 9):
+            want = error if len(levels) < depth else AlphaChain(
+                tuple(AlphaChainEntry(a, e, horizon) for a, e, _ in levels[:depth]),
+                source.alphabet.letters, bound is not None).to_json()
+            try:
+                got = alpha_chain(source, depth, horizon, bound).to_json()
+            except (ValueError, InsufficientWindowError) as exc:
+                got = type(exc), str(exc)
+            assert got == want, (depth, horizon, bound)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(["ab", "abc"]).flatmap(
+           lambda letters: st.tuples(st.just(letters), st.text(letters, min_size=1, max_size=40))),
+       st.integers(1, 8), st.integers(0, 120), st.sampled_from([None, 2, 3]))
+def test_the_walk_yields_the_loops_levels_and_markers(pattern, depth, horizon, bound):
+    # a long pattern makes the word arbitrary over much of the window; the
+    # markers must be every occurrence of the level's power, and no two of
+    # them may overlap, since the walk narrows them instead of searching
+    letters, text = pattern
+    source = PeriodicSource(text, Alphabet(letters))
+    walked = _levels(_chain_walk(source, depth, horizon, bound))
+    assert walked == _levels(_loop_walk(source, depth, horizon, bound))
+    for a, e, markers in walked[0]:
+        assert all(q - p >= len(a) * e for p, q in zip(markers, markers[1:])), (a, e, markers)
+
+
+@pytest.mark.parametrize("descriptor", [
+    "fibonacci", "thue-morse", "holub:n=2,2;tail=repeat", "morphic:a=abc,b=ac,c=b;seed=a",
+])
+def test_alpha_chain_makes_no_occurrence_search(descriptor, monkeypatch):
+    # each level's occurrences are its markers narrowed, never a search of
+    # the window
+    calls = []
+    search = kernels.active.occurrence_list
+    monkeypatch.setattr(kernels.active, "occurrence_list", lambda *a: calls.append(a) or search(*a))
+    chain = alpha_chain(parse_descriptor(descriptor), 6, 100_000)
+    assert len(chain.entries) == 6 and calls == []
+    checks.build_gain_pair(FIB, 1, 20_000)
+    assert calls == []
+
+
+@pytest.mark.parametrize("descriptor", ["fibonacci", "thue-morse", "holub:n=2,2;tail=repeat",
+                                        "morphic:a=abc,b=ac,c=b;seed=a", "periodic:aab"])
+def test_gain_and_min_return_chain_read_the_walk_as_the_loop(descriptor, monkeypatch):
+    # the claims' reports and errors over a grid, with the walk and with the
+    # loop in its place, refusals of k and kprime included
+    source = parse_descriptor(descriptor)
+
+    def outcomes():
+        grid = product((0, 1, 2, 3, 7), (None, 0, 1, 2, 4), (1, 8), (300, 20_000), (None, 2))
+        calls = [lambda k=k, kp=kp, w=w, hz=hz, b=b: checks.check_return_gain(source, k, kp, w, hz, b)
+                 for k, kp, w, hz, b in grid]
+        calls += [lambda d=d, hz=hz, b=b: checks.check_lexmin_return_words(source, d, hz, b)
+                  for d, hz, b in product(range(1, 6), (5, 37, 1000, 10_000), (None, 2, 3))]
+        for call in calls:
+            try:
+                yield call().to_json()
+            except (ValueError, InsufficientWindowError) as exc:
+                yield type(exc), str(exc)
+
+    got = list(outcomes())
+    monkeypatch.setattr(checks, "_chain_walk", _loop_walk)
+    assert got == list(outcomes())
 
 
 # ---------------------------------------------------------------------------

@@ -567,6 +567,19 @@ def test_max_power_matches_the_loop_on_long_prefixes(table, descriptor):
         assert int(table.max_power(v, s)) == _loop_max_power(v, s), z
 
 
+def test_longest_power_offsets_are_the_occurrences_of_the_power(table):
+    # the exponent max_power gives, and the offsets a search for v^e finds
+    cases = [(v, s) for s in _binary_words(8) for v in _binary_words(4, minlen=1)]
+    for descriptor in ("fibonacci", "thue-morse", "holub:n=2,2", "periodic:ab"):
+        src = parse_descriptor(descriptor)
+        cases += [(src.alphabet.encode(z), src.ranks(20_000)) for z in ("a", "aab", "abaab")]
+    for v, s in cases:
+        e, offsets = table.longest_power(table.occurrence_list(v, s), v.shape[0], s.shape[0])
+        assert e == table.max_power(v, s), (v, s)
+        want = table.occurrence_list(np.tile(v, e), s).tolist() if e else []
+        assert offsets.tolist() == want, (v, s)
+
+
 def _loop_occurrence_list(z, s):
     # the per-offset search occurrence_list once ran
     m = z.shape[0]
