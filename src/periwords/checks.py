@@ -57,7 +57,6 @@ from .words import (
     HolubParams,
     WordSource,
     _check_size,
-    holub_letter,
     holub_letters,
     holub_toeplitz,
     holub_u,
@@ -372,7 +371,7 @@ def check_letter_formula(params: HolubParams, n: int = 10_000) -> VerificationRe
             "word": source.descriptor,
             "position": i,
             "expected": recursion[i - 1],
-            "actual": holub_letter(params, i),
+            "actual": formula[i - 1],
         })
     return report
 
@@ -763,25 +762,25 @@ def _trial_blocks(trials: int, maxlen: int):
         yield min(block, trials - start)
 
 
-def _below(u: np.ndarray, m) -> np.ndarray:
-    # each 32-bit draw scaled into [0, m) by multiply-shift; the bias of a
-    # value is below m / 2^32, under 2^-27 for m < 16
-    return ((u * np.asarray(m, np.uint64)) >> 32).astype(np.int64)
+def _below(u: np.ndarray, m, maxlen: int) -> np.ndarray:
+    # each 32-bit draw scaled into [0, m) by multiply-shift, in the least signed
+    # type that holds maxlen (int8 up to 127); its bias is below m / 2^32
+    return ((u * np.asarray(m, np.uint64)) >> 32).astype(np.min_scalar_type(-maxlen - 1))
 
 
 def _factor_bound_draws(rng: random.Random, rows: int, maxlen: int):
     # words of 3..maxlen letters and a factor w[a:b] of each, 0 <= a < b <= n
     letters, (un, ua, ub) = random_binary_words(rng, rows, maxlen, 3)
-    n = 3 + _below(un, maxlen - 2)
-    a = _below(ua, n)
-    return letters, n, a, a + 1 + _below(ub, n - a)
+    n = 3 + _below(un, maxlen - 2, maxlen)
+    a = _below(ua, n, maxlen)
+    return letters, n, a, a + 1 + _below(ub, n - a, maxlen)
 
 
 def _superadditivity_draws(rng: random.Random, rows: int, maxlen: int):
     # words of 2..maxlen letters and a split 1 <= c < n of each
     letters, (un, uc) = random_binary_words(rng, rows, maxlen, 2)
-    n = 2 + _below(un, maxlen - 1)
-    return letters, n, 1 + _below(uc, n - 1)
+    n = 2 + _below(un, maxlen - 1, maxlen)
+    return letters, n, 1 + _below(uc, n - 1, maxlen)
 
 
 @_claim("factor-bound")
@@ -849,7 +848,7 @@ def check_superadditivity(
         r = int(bad[0])
         report.instances += r + 1
         report.fail({
-            "op": "local_period_sum",
+            "op": "local_periods",
             "word": _spell(letters[r, :n[r]]),
             "split": int(c[r]),
             "whole": int(whole[r]),

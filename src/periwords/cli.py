@@ -195,8 +195,8 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
-# _json_text(prof.to_json()) row by row, here for capped rows and in _profile_json
-# for live ones: keys sorted, h_approx as float.__repr__
+# _json_text of the profile's cap, descriptor, n and rows() row by row, here for
+# capped rows and in _profile_json for live ones: keys sorted, h_approx as float.__repr__
 _PROFILE_JSON_CAPPED = (
     '    {\n      "h_approx": null,\n      "h_denominator": null,\n      "h_numerator": null,\n'
     '      "index": %d,\n      "local_period": %s\n    }'
@@ -265,6 +265,7 @@ _ERRORS = {
     OSError: "output error",
     ValueError: "parameter error",
     TypeError: "parameter error",
+    MemoryError: "memory error",
 }
 
 

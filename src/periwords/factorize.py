@@ -93,10 +93,6 @@ class AlphaChain:
             raise ValueError(f"level {k} outside 1..{len(self.entries)}")
         return self.entries[k - 1]
 
-    def power(self, k: int) -> str:
-        e = self.level(k)
-        return e.alpha * e.exponent
-
     def to_json(self) -> dict:
         return asdict(self)
 

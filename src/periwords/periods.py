@@ -213,14 +213,6 @@ class PeriodProfile:
                  "h_denominator": None, "h_approx": None} for i, p in capped]
         return out
 
-    def to_json(self) -> dict:
-        return {
-            "descriptor": self.descriptor,
-            "n": self.n,
-            "cap": self.cap,
-            "rows": self.rows(),
-        }
-
 
 def profile(subject, n: int | None = None, cap: int | None = None) -> PeriodProfile:
     """Local periods at every position of a finite word or a source prefix.
@@ -288,13 +280,6 @@ def h_of(w: str) -> Fraction:
     if not w:
         raise ValueError("empty word")
     return h_of_row(local_periods(w))
-
-
-def local_period_sum(w: str) -> int:
-    """Integer sum of all local periods of w (|w| times h(w))."""
-    if not w:
-        return 0
-    return int(local_periods(w).sum())
 
 
 def critical_positions(w: str) -> list[int]:

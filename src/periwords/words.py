@@ -126,19 +126,6 @@ def random_binary_words(rng: random.Random, rows: int, n: int, draws: int):
     return letters, np.frombuffer(numbers, "<u4").reshape(rows, draws).T.astype(np.uint64)
 
 
-def lex_compare(w1: str, w2: str, alphabet: Alphabet = BINARY) -> int:
-    """-1, 0, or 1 for w1 < w2, w1 == w2, w1 > w2 in alphabet order.
-
-    A proper prefix is smaller than any of its extensions.
-    """
-    k1, k2 = alphabet.sort_key(w1), alphabet.sort_key(w2)
-    if k1 < k2:
-        return -1
-    if k1 > k2:
-        return 1
-    return 0
-
-
 class WordSource:
     """Lazy right-infinite word with a growing prefix buffer.
 
@@ -508,11 +495,11 @@ def predicted_peak_period(params: HolubParams, j: int) -> int:
 def predicted_witness(params: HolubParams, j: int) -> str:
     """The shortest repetition word at the level-j anchor position.
 
-    It is the conjugate of u_(j-1) a (u_(j-1) b)^n_j obtained by moving the
-    anchor prefix from the front to the back.
+    It is the conjugate of u_(j-1) a (u_(j-1) b)^n_j, the first predicted_peak_period
+    letters of u_j, obtained by moving the anchor prefix from the front to the back.
     """
     s = anchor_word(params, j)
-    core = holub_u(params, j - 1) + "a" + (holub_u(params, j - 1) + "b") * params.n(j)
+    core = holub_u(params, j)[:predicted_peak_period(params, j)]
     if not core.startswith(s):
         raise ValueError(
             f"anchor prefix {s!r} does not start the conjugation core {core[:len(s) + 8]!r}..."

@@ -291,6 +291,25 @@ def test_letter_formula_reports_a_planted_recursion_error(monkeypatch, positions
     }
 
 
+def test_letter_formula_quotes_the_formula_letter_it_compared(monkeypatch):
+    # a planted fault in the residue rule at position 100: the report quotes
+    # the letter the check read, not a second implementation's letter
+    real = checks.holub_letters
+
+    def flipped(params, n):
+        w = real(params, n)
+        return w[:99] + "ab"[w[99] == "a"] + w[100:]
+
+    monkeypatch.setattr(checks, "holub_letters", flipped)
+    rep = check_letter_formula(P22, n=500)
+    recursion = holub_word(P22).prefix(500)
+    assert rep.status == FAIL and rep.instances == 500
+    assert rep.counterexample == {
+        "op": "holub_letter", "word": "holub:n=2,2;tail=repeat", "position": 100,
+        "expected": recursion[99], "actual": "ab"[recursion[99] == "a"],
+    }
+
+
 def test_toeplitz_stages_auto_and_explicit():
     rep = check_toeplitz_stages(P22, n=2_000)
     assert rep.status == PASS and rep.params["stage"] == 6  # 4^6-1 >= 2000
@@ -728,7 +747,7 @@ def _loop_superadditivity(trials, maxlen, seed, lps):
         instances += 1
         if s_w < s_u + s_v:
             return instances, {
-                "op": "local_period_sum", "word": w, "split": c,
+                "op": "local_periods", "word": w, "split": c,
                 "whole": s_w, "left": s_u, "right": s_v,
             }
     return instances, None
@@ -846,7 +865,9 @@ def test_a_long_maxlen_draws_smaller_blocks(monkeypatch):
 
 @pytest.mark.parametrize("checker", [check_factor_bound, check_superadditivity],
                          ids=["factor-bound", "superadditivity"])
-def test_trial_checker_memory_peak_stays_under_2_mb(checker):
+def test_trial_checker_memory_peak_stays_under_1_25_mb(checker):
+    # lengths and offsets are int8 at the default maxlen; int64 draws pass
+    # this bound (1.31 and 1.66 MB)
     checker(trials=10)
     tracemalloc.start()
     try:
@@ -854,7 +875,21 @@ def test_trial_checker_memory_peak_stays_under_2_mb(checker):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2_000_000
+    assert peak < 1_250_000
+
+
+@pytest.mark.parametrize("maxlen,dtype", [(14, np.int8), (127, np.int8), (128, np.int16)])
+def test_trial_draws_hold_maxlen_in_the_least_signed_type(maxlen, dtype):
+    # 128 fits no int8, so a word of maxlen letters must widen the type; 2000
+    # trials are one block at every maxlen here, as the decoding assumes
+    letters, n, a, b = checks._factor_bound_draws(random.Random(11), 2000, maxlen)
+    assert n.dtype == a.dtype == b.dtype == dtype and int(n.max()) == maxlen
+    assert [(len(w), a, a + len(v)) for w, a, v in _factor_bound_trials(2000, maxlen, 11)] == list(
+        zip(n.tolist(), a.tolist(), b.tolist()))
+    letters, n, c = checks._superadditivity_draws(random.Random(11), 2000, maxlen)
+    assert n.dtype == c.dtype == dtype and int(n.max()) == maxlen
+    assert [(len(w), c) for w, c in _superadditivity_trials(2000, maxlen, 11)] == list(
+        zip(n.tolist(), c.tolist()))
 
 
 # ---------------------------------------------------------------------------

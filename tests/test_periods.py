@@ -36,7 +36,6 @@ from periwords.periods import (
     local_period,
     local_period_infinite,
     local_period_oracle,
-    local_period_sum,
     local_period_table,
     local_periods,
     period,
@@ -133,7 +132,7 @@ def test_border_period_helpers():
 
 
 def test_h_and_sum():
-    assert local_period_sum("abaab") == 10
+    assert local_periods("abaab").sum() == 10
     assert h_of("abaab") == 2
     assert h_of("a") == 1
 
@@ -259,9 +258,9 @@ def test_profile_rows_beyond_int64():
 
 
 def test_profile_json_round_shape():
-    data = profile("abaab").to_json()
-    assert data["descriptor"] == "abaab" and data["n"] == 5 and data["cap"] is None
-    row = data["rows"][1]
+    prof = profile("abaab")
+    assert prof.descriptor == "abaab" and prof.n == 5 and prof.cap is None
+    row = prof.rows()[1]
     assert row == {
         "index": 2,
         "local_period": 3,
@@ -324,19 +323,19 @@ def test_h_of_and_local_period_sum_reject_holes():
     with pytest.raises(ValueError, match="holes"):
         h_of("ab?ab")
     with pytest.raises(ValueError, match="holes"):
-        local_period_sum("ab?ab")
+        local_periods("ab?ab")
     assert h_of("abaab") == Fraction(10, 5)
-    assert local_period_sum("abaab") == 10
+    assert local_periods("abaab").sum() == 10
 
 
 @pytest.mark.parametrize("fn", [
     period, shortest_border, is_primitive, is_unbordered, is_lyndon, least_conjugate,
     lambda w: local_period(w, 2), critical_positions, local_periods, h_of,
-    local_period_sum, profile, lambda w: local_period_oracle(w, 2),
+    profile, lambda w: local_period_oracle(w, 2),
 ], ids=[
     "period", "shortest_border", "is_primitive", "is_unbordered", "is_lyndon",
     "least_conjugate", "local_period", "critical_positions", "local_periods", "h_of",
-    "local_period_sum", "profile", "local_period_oracle",
+    "profile", "local_period_oracle",
 ])
 def test_finite_word_functions_reject_holes(fn):
     # a kernel would match the hole as a letter: period("ab?ab") would be 3

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import periwords
 from periwords.errors import DescriptorError
@@ -33,7 +35,6 @@ from periwords.words import (
     holub_toeplitz,
     holub_u,
     holub_word,
-    lex_compare,
     parse_descriptor,
     predicted_peak_period,
     predicted_witness,
@@ -123,14 +124,16 @@ def test_the_alphabet_check_keeps_every_message():
                     == _outcome(_set_encode, alphabet, word, allow_hole)), (alphabet, word)
 
 
-def test_lex_compare_proper_prefix_is_smaller():
-    assert lex_compare("a", "ab") == -1
-    assert lex_compare("ab", "a") == 1
-    assert lex_compare("ab", "b") == -1
-    assert lex_compare("aab", "aab") == 0
+def test_sort_key_puts_a_proper_prefix_first():
+    key = BINARY.sort_key
+    assert key("a") < key("ab") and key("ab") > key("a")
+    assert key("ab") < key("b")
+    assert key("aab") == key("aab")
+    assert sorted(["b", "ab", "", "a", "aab"], key=key) == ["", "a", "aab", "ab", "b"]
     # order follows the alphabet, not ASCII
     ba = Alphabet("ba")
-    assert lex_compare("b", "a", ba) == -1
+    assert ba.sort_key("b") < ba.sort_key("a") and ba.sort_key("b") < ba.sort_key("ab")
+    assert sorted(["a", "ba", "b", "bb"], key=ba.sort_key) == ["b", "bb", "ba", "a"]
 
 
 def test_hole_encoding():
@@ -471,6 +474,18 @@ def test_witness_is_conjugate_of_leading_core():
         r = predicted_witness(P234, j)
         core = holub_u(P234, j - 1) + "a" + (holub_u(P234, j - 1) + "b") * P234.n(j)
         assert s + r == core + s
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(2, 5), min_size=1, max_size=6).map(sorted),
+       st.sampled_from(["repeat", "step"]), st.integers(1, 2), st.integers(1, 6))
+def test_witness_is_the_rotated_core_built_from_the_stage_below(head, tail, step, j):
+    # the core u_(j-1) a (u_(j-1) b)^n_j written out from two copies of
+    # u_(j-1), rotated by the anchor prefix
+    params = HolubParams(tuple(head), tail, step)
+    s = anchor_word(params, j)
+    core = holub_u(params, j - 1) + "a" + (holub_u(params, j - 1) + "b") * params.n(j)
+    assert predicted_witness(params, j) == core[len(s):] + s
 
 
 def test_target_beating_parameters():
